@@ -60,31 +60,6 @@ class BenchRow:
     min_seconds: float
 
 
-def time_decode(tup: codec.DistanceTuple, engine: str, repetitions: int) -> float:
-    """Median wall time of a full decode.
-
-    One untimed warmup decode runs first, and GC is paused while timing so
-    collector pauses from the freshly built trees do not skew medians.
-    """
-    decoder = codec.decoder_for(engine)
-    decoder(tup)
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            tree = decoder(tup)
-            elapsed = time.perf_counter() - start
-            del tree
-            times.append(elapsed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-    return statistics.median(times)
-
-
 def run(
     sizes: list[int],
     engines: list[str],

@@ -21,6 +21,7 @@ from . import __version__, bench, codec, scoring, train as training
 from .binarize import binarize, debinarize
 from .trees import (
     TreebankError,
+    leaves,
     parse_bracketed,
     preprocess,
     serialize_bracketed,
@@ -252,21 +253,23 @@ def cmd_predict(args) -> int:
         result = training.load_checkpoint(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
-    lines = []
+    sentences = []
     for tree in _load_trees(args.input):
         cleaned = preprocess(tree)
         if cleaned is None:
             continue
-        tup = codec.encode(binarize(cleaned))
-        predicted = training.predict_tree(
-            result.params,
-            result.model_config,
-            result.vocab,
-            tup.words,
-            tup.tags,
-            engine=args.engine,
+        found = leaves(cleaned)
+        sentences.append(
+            (tuple(leaf.word for leaf in found), tuple(leaf.tag for leaf in found))
         )
-        lines.append(serialize_bracketed(predicted) + "\n")
+    predicted = training.predict_trees(
+        result.params,
+        result.model_config,
+        result.vocab,
+        sentences,
+        engine=args.engine,
+    )
+    lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))
     _write_sidecar(args.out, _run_metadata(args, "predict"))
     return 0

@@ -13,6 +13,20 @@ Pipeline, for an n-word sentence:
 
 Everything is float64 numpy; parameters live in a flat name->array dict so
 the optimizer and the gradient checks can treat them uniformly.
+
+There is one implementation, over a padded batch. :func:`forward_batch`
+stacks B sentences into (B, T, ·) arrays, T the longest length, each
+sentence left-aligned and padded with token id 0. The backward direction of
+each BiLSTM reads every sentence reversed within its own length (a gather
+with a per-length reversal index), so in both directions the padded steps
+come after all real steps: the recurrences need no mask, and the padded
+outputs are sliced away. Both directions advance in one loop, stacked on a
+leading axis, and each step computes the whole 4h gate vector with one
+tanh, using sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The conv and the three
+heads run on the whole batch. :func:`forward` and :func:`sentence_loss`
+are the one-sentence batch, and :func:`backward` reads the cache that
+batch leaves. Prediction (``train.predict_trees``) runs length-sorted
+batches of 32 so that little padding is computed.
 """
 
 from __future__ import annotations
@@ -92,101 +106,127 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(value) for name, value in params.items()}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
+    """(B, steps) gather index that reverses each row within its own length
+    and leaves the padded positions in place; it is its own inverse."""
+    t = np.arange(steps)
+    last = lengths[:, None] - 1
+    return np.where(t <= last, last - t, t)
 
 
-def _lstm_forward(x, Wx, Wh, b):
-    steps = x.shape[0]
-    hidden = Wh.shape[0]
-    gates_in = x @ Wx + b
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    cache = {
-        "x": x,
-        "h_prev": np.zeros((steps, hidden)),
-        "c_prev": np.zeros((steps, hidden)),
-        "i": np.zeros((steps, hidden)),
-        "f": np.zeros((steps, hidden)),
-        "g": np.zeros((steps, hidden)),
-        "o": np.zeros((steps, hidden)),
-        "tanh_c": np.zeros((steps, hidden)),
-    }
-    out = np.zeros((steps, hidden))
+def _gate_scale(hidden: int) -> np.ndarray:
+    """Per-gate factor of the fused activation: 1/2 on the sigmoid gates
+    i, f, o and 1 on the candidate g."""
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    return scale
+
+
+def _activate(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Gate pre-activations -> [sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)]
+    in place along the last axis: one tanh for all four gates, as
+    sigmoid(x) = 0.5 * (1 + tanh(x / 2))."""
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += 1.0 - scale
+    return z
+
+
+def _input_gates(xs, Wx, b, batch, steps):
+    """Input part of the gate pre-activations of every step, as a
+    (T, 2, B, 4h) view."""
+    gates = np.matmul(xs, Wx) + b[:, None, :]
+    return gates.reshape(2, batch, steps, Wx.shape[2]).transpose(2, 0, 1, 3)
+
+
+def _bilstm_forward(x, rev, params, prefix):
+    """Both directions of a BiLSTM over a padded batch ``x`` (B, T, d).
+
+    The backward direction reads each sentence reversed within its length
+    (``rev``), so in both directions padded steps follow every real step
+    and the recurrence runs unmasked. The two directions are stacked on a
+    leading axis and advance in one loop. Returns (B, T, 2h) and the cache,
+    which keeps the states and not the gates: the backward pass recomputes
+    those in a few whole-sequence operations, and a batch's cache stays
+    small.
+    """
+    batch, steps, width = x.shape
+    Wx = np.stack([params[f"{prefix}_fwd_Wx"], params[f"{prefix}_bwd_Wx"]])
+    Wh = np.stack([params[f"{prefix}_fwd_Wh"], params[f"{prefix}_bwd_Wh"]])
+    b = np.stack([params[f"{prefix}_fwd_b"], params[f"{prefix}_bwd_b"]])
+    hidden = Wh.shape[1]
+    rows = np.arange(batch)[:, None]
+    xs = np.stack([x, x[rows, rev]]).reshape(2, batch * steps, width)
+    gates = _input_gates(xs, Wx, b, batch, steps)
+    scale = _gate_scale(hidden)
+    h_all = np.zeros((steps + 1, 2, batch, hidden))
+    c_all = np.zeros((steps + 1, 2, batch, hidden))
     for t in range(steps):
-        cache["h_prev"][t] = h
-        cache["c_prev"][t] = c
-        z = gates_in[t] + h @ Wh
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden : 2 * hidden])
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = _sigmoid(z[3 * hidden :])
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t] = i, f, g, o
-        cache["tanh_c"][t] = tanh_c
-        out[t] = h
-    return out, cache
+        z = np.matmul(h_all[t], Wh)
+        z += gates[t]
+        act = _activate(z, scale)
+        c = c_all[t + 1]
+        np.multiply(act[..., hidden : 2 * hidden], c_all[t], out=c)
+        c += act[..., :hidden] * act[..., 2 * hidden : 3 * hidden]
+        np.multiply(act[..., 3 * hidden :], np.tanh(c), out=h_all[t + 1])
+    out = h_all[1:].transpose(1, 2, 0, 3)  # (2, B, T, h)
+    h = np.concatenate([out[0], out[1][rows, rev]], axis=2)
+    return h, (xs, rev, Wx, Wh, b, h_all, c_all)
 
 
-def _lstm_backward(d_out, cache, Wx, Wh):
-    x = cache["x"]
-    steps, hidden = d_out.shape
-    dz_all = np.zeros((steps, 4 * hidden))
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
+def _bilstm_backward(d_out, cache, prefix, grads):
+    """Gradients of both directions from d_out (B, T, 2h); returns d_x."""
+    xs, rev, Wx, Wh, b, h_all, c_all = cache
+    steps, _, batch, hidden = h_all[1:].shape
+    rows = np.arange(batch)[:, None]
+    # (T, 2, B, h): each direction's output gradient in its own step order
+    d_h = np.stack([d_out[..., :hidden], d_out[..., hidden:][rows, rev]]).transpose(
+        2, 0, 1, 3
+    )
+    z = np.matmul(h_all[:-1], Wh)
+    z += _input_gates(xs, Wx, b, batch, steps)
+    acts = _activate(z, _gate_scale(hidden))
+    tanh_c = np.tanh(c_all[1:])
+    # everything but dh and dc is known before the loop: gate derivatives
+    # times the factor each gate's gradient takes from dc (or dh for o)
+    deriv = acts * (1.0 - acts)
+    g = acts[..., 2 * hidden : 3 * hidden]
+    deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
+    from_dc = np.stack(
+        [g, c_all[:-1], acts[..., :hidden]], axis=3
+    ) * deriv[..., : 3 * hidden].reshape(steps, 2, batch, 3, hidden)
+    from_dh = tanh_c * deriv[..., 3 * hidden :]
+    dc_from_dh = acts[..., 3 * hidden :] * (1.0 - tanh_c * tanh_c)
+    forget = acts[..., hidden : 2 * hidden]
+    dz_all = np.empty((steps, 2, batch, 4, hidden))
+    Wh_T = Wh.transpose(0, 2, 1)
+    dh_next = np.zeros((2, batch, hidden))
+    dc_next = np.zeros((2, batch, hidden))
     for t in reversed(range(steps)):
-        i, f, g, o = cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t]
-        tanh_c = cache["tanh_c"][t]
-        dh = d_out[t] + dh_next
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        dh = d_h[t] + dh_next
+        dc = dh * dc_from_dh[t]
+        dc += dc_next
         dz = dz_all[t]
-        dz[:hidden] = dc * g * i * (1.0 - i)
-        dz[hidden : 2 * hidden] = dc * cache["c_prev"][t] * f * (1.0 - f)
-        dz[2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-        dz[3 * hidden :] = dh * tanh_c * o * (1.0 - o)
-        dh_next = Wh @ dz
-        dc_next = dc * f
-    grads = {
-        "Wx": x.T @ dz_all,
-        "Wh": cache["h_prev"].T @ dz_all,
-        "b": dz_all.sum(axis=0),
-    }
-    dx = dz_all @ Wx.T
-    return dx, grads
-
-
-def _bilstm_forward(x, params, prefix):
-    fwd, cache_f = _lstm_forward(
-        x, params[f"{prefix}_fwd_Wx"], params[f"{prefix}_fwd_Wh"], params[f"{prefix}_fwd_b"]
+        np.multiply(dc[:, :, None, :], from_dc[t], out=dz[:, :, :3])
+        np.multiply(dh, from_dh[t], out=dz[:, :, 3])
+        dh_next = np.matmul(dz.reshape(2, batch, 4 * hidden), Wh_T)
+        dc_next = dc * forget[t]
+    # back to (2, B*T, 4h), the row order of xs
+    dz_rows = dz_all.reshape(steps, 2, batch, 4 * hidden).transpose(1, 2, 0, 3)
+    dz_rows = dz_rows.reshape(2, batch * steps, 4 * hidden)
+    h_prev = h_all[:-1].transpose(1, 2, 0, 3).reshape(2, batch * steps, hidden)
+    g_Wx = np.matmul(xs.transpose(0, 2, 1), dz_rows)
+    g_Wh = np.matmul(h_prev.transpose(0, 2, 1), dz_rows)
+    g_b = dz_rows.sum(axis=1)
+    for k, direction in enumerate(("fwd", "bwd")):
+        grads[f"{prefix}_{direction}_Wx"] += g_Wx[k]
+        grads[f"{prefix}_{direction}_Wh"] += g_Wh[k]
+        grads[f"{prefix}_{direction}_b"] += g_b[k]
+    d_xs = np.matmul(dz_rows, Wx.transpose(0, 2, 1)).reshape(
+        2, batch, steps, xs.shape[2]
     )
-    rev, cache_b = _lstm_forward(
-        x[::-1], params[f"{prefix}_bwd_Wx"], params[f"{prefix}_bwd_Wh"], params[f"{prefix}_bwd_b"]
-    )
-    out = np.concatenate([fwd, rev[::-1]], axis=1)
-    return out, (cache_f, cache_b)
-
-
-def _bilstm_backward(d_out, caches, params, prefix, grads):
-    cache_f, cache_b = caches
-    hidden = params[f"{prefix}_fwd_Wh"].shape[0]
-    dx_f, g_f = _lstm_backward(
-        d_out[:, :hidden], cache_f, params[f"{prefix}_fwd_Wx"], params[f"{prefix}_fwd_Wh"]
-    )
-    dx_b, g_b = _lstm_backward(
-        d_out[:, hidden:][::-1], cache_b, params[f"{prefix}_bwd_Wx"], params[f"{prefix}_bwd_Wh"]
-    )
-    for key, value in g_f.items():
-        grads[f"{prefix}_fwd_{key}"] += value
-    for key, value in g_b.items():
-        grads[f"{prefix}_bwd_{key}"] += value
-    return dx_f + dx_b[::-1]
+    return d_xs[0] + d_xs[1][rows, rev]
 
 
 def _ff_forward(x, params, prefix):
@@ -228,59 +268,109 @@ class ForwardResult:
     cache: dict = field(repr=False, default_factory=dict)
 
 
+def forward_batch(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    word_ids: Sequence[Sequence[int]],
+    tag_ids: Sequence[Sequence[int]],
+) -> list[ForwardResult]:
+    """Run the network once over a batch of sentences of ``n >= 1`` words.
+
+    The batch is padded to its longest sentence; one result per sentence
+    comes back, in input order, sliced to the sentence's own length. All
+    results share the batch cache.
+    """
+    if len(word_ids) != len(tag_ids):
+        raise ValueError(
+            f"{len(word_ids)} word sequences but {len(tag_ids)} tag sequences"
+        )
+    lengths = np.array([len(words) for words in word_ids], dtype=np.int64)
+    if lengths.size == 0:
+        return []
+    for words, tags in zip(word_ids, tag_ids):
+        if len(words) == 0:
+            raise ValueError("cannot run the network on an empty sentence")
+        if len(tags) != len(words):
+            raise ValueError(f"{len(words)} words but {len(tags)} tags")
+    batch, steps = lengths.size, int(lengths.max())
+    words = np.zeros((batch, steps), dtype=np.int64)
+    tags = np.zeros((batch, steps), dtype=np.int64)
+    for row, (sentence_words, sentence_tags) in enumerate(zip(word_ids, tag_ids)):
+        words[row, : len(sentence_words)] = sentence_words
+        tags[row, : len(sentence_tags)] = sentence_tags
+    if (
+        words.min() < 0
+        or tags.min() < 0
+        or words.max() >= config.word_vocab
+        or tags.max() >= config.tag_vocab
+    ):
+        raise ValueError("token id outside the configured vocabulary")
+
+    hidden2 = 2 * config.hidden_dim
+    splits = steps - 1
+    x = np.concatenate(
+        [params["embed_word"][words], params["embed_tag"][tags]], axis=2
+    )
+    h_word, word_cache = _bilstm_forward(
+        x, _reversal(lengths, steps), params, "lstm_word"
+    )
+    word_logits, word_head_cache = _ff_forward(
+        h_word.reshape(batch * steps, hidden2), params, "word_head"
+    )
+    word_probs = _softmax(word_logits)
+
+    # one vector per split point from each adjacent pair of word states
+    pairs = np.concatenate([h_word[:, :-1], h_word[:, 1:]], axis=2)
+    pairs = pairs.reshape(batch * splits, 2 * hidden2)
+    g_split = np.tanh(pairs @ params["conv_W"] + params["conv_b"])
+    h_split, split_cache = _bilstm_forward(
+        g_split.reshape(batch, splits, config.conv_channels),
+        _reversal(lengths - 1, splits),
+        params,
+        "lstm_split",
+    )
+    h_split = h_split.reshape(batch * splits, hidden2)
+    dist_out, dist_head_cache = _ff_forward(h_split, params, "dist_head")
+    split_logits, split_head_cache = _ff_forward(h_split, params, "split_head")
+    split_probs = _softmax(split_logits)
+
+    # flat (sentence, position) rows, as the heads saw them
+    cache = {
+        "words": words,
+        "tags": tags,
+        "word_cache": word_cache,
+        "word_head_cache": word_head_cache,
+        "word_probs": word_probs,
+        "pairs": pairs,
+        "g_split": g_split,
+        "split_cache": split_cache,
+        "dist_head_cache": dist_head_cache,
+        "split_head_cache": split_head_cache,
+        "split_probs": split_probs,
+    }
+    distances = dist_out.reshape(batch, splits)
+    word_probs = word_probs.reshape(batch, steps, -1)
+    split_probs = split_probs.reshape(batch, splits, config.split_label_vocab)
+    return [
+        ForwardResult(
+            distances[row, : n - 1],
+            word_probs[row, :n],
+            split_probs[row, : n - 1],
+            cache,
+        )
+        for row, n in enumerate(lengths.tolist())
+    ]
+
+
 def forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     word_ids: Sequence[int],
     tag_ids: Sequence[int],
 ) -> ForwardResult:
-    """Run the full pipeline on one sentence of ``n >= 1`` words."""
-    n = len(word_ids)
-    if n == 0:
-        raise ValueError("cannot run the network on an empty sentence")
-    if len(tag_ids) != n:
-        raise ValueError(f"{n} words but {len(tag_ids)} tags")
-    word_ids = np.asarray(word_ids, dtype=np.int64)
-    tag_ids = np.asarray(tag_ids, dtype=np.int64)
-    if (
-        word_ids.min() < 0
-        or tag_ids.min() < 0
-        or word_ids.max() >= config.word_vocab
-        or tag_ids.max() >= config.tag_vocab
-    ):
-        raise ValueError("token id outside the configured vocabulary")
-
-    x = np.concatenate(
-        [params["embed_word"][word_ids], params["embed_tag"][tag_ids]], axis=1
-    )
-    h_word, word_caches = _bilstm_forward(x, params, "lstm_word")
-    word_logits, word_head_cache = _ff_forward(h_word, params, "word_head")
-    word_probs = _softmax(word_logits)
-
-    # one vector per split point from each adjacent pair of word states
-    pairs = np.concatenate([h_word[:-1], h_word[1:]], axis=1)
-    conv_pre = pairs @ params["conv_W"] + params["conv_b"]
-    g_split = np.tanh(conv_pre)
-    h_split, split_caches = _bilstm_forward(g_split, params, "lstm_split")
-    dist_out, dist_head_cache = _ff_forward(h_split, params, "dist_head")
-    distances = dist_out[:, 0]
-    split_logits, split_head_cache = _ff_forward(h_split, params, "split_head")
-    split_probs = _softmax(split_logits)
-
-    cache = {
-        "word_ids": word_ids,
-        "tag_ids": tag_ids,
-        "word_caches": word_caches,
-        "word_head_cache": word_head_cache,
-        "word_probs": word_probs,
-        "pairs": pairs,
-        "g_split": g_split,
-        "split_caches": split_caches,
-        "dist_head_cache": dist_head_cache,
-        "split_head_cache": split_head_cache,
-        "split_probs": split_probs,
-    }
-    return ForwardResult(distances, word_probs, split_probs, cache)
+    """Run the full pipeline on one sentence of ``n >= 1`` words: the
+    one-sentence batch of :func:`forward_batch`."""
+    return forward_batch(params, config, [word_ids], [tag_ids])[0]
 
 
 def backward(
@@ -291,13 +381,18 @@ def backward(
     d_word_probs: np.ndarray,
     d_split_probs: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given its gradients at the three outputs.
+    """Gradients of a scalar loss given its gradients at the three outputs
+    of a one-sentence forward.
 
     Probability gradients are chained through the softmax here.
     """
     cache = result.cache
+    batch, steps = cache["words"].shape
+    if batch != 1:
+        raise ValueError("backward needs the result of a one-sentence forward")
     grads = zero_grads(params)
     hidden2 = 2 * config.hidden_dim
+    splits = steps - 1
 
     d_split_logits = _softmax_backward(
         np.asarray(d_split_probs, dtype=np.float64), cache["split_probs"]
@@ -310,30 +405,32 @@ def backward(
         d_dist_out, cache["dist_head_cache"], params, "dist_head", grads
     )
     d_g_split = _bilstm_backward(
-        d_h_split, cache["split_caches"], params, "lstm_split", grads
-    )
+        d_h_split.reshape(batch, splits, hidden2),
+        cache["split_cache"],
+        "lstm_split",
+        grads,
+    ).reshape(batch * splits, config.conv_channels)
     g_split = cache["g_split"]
     d_conv_pre = d_g_split * (1.0 - g_split * g_split)
     pairs = cache["pairs"]
     grads["conv_W"] += pairs.T @ d_conv_pre
     grads["conv_b"] += d_conv_pre.sum(axis=0)
-    d_pairs = d_conv_pre @ params["conv_W"].T
+    d_pairs = (d_conv_pre @ params["conv_W"].T).reshape(batch, splits, 2 * hidden2)
 
-    n = len(cache["word_ids"])
-    d_h_word = np.zeros((n, hidden2))
-    d_h_word[:-1] += d_pairs[:, :hidden2]
-    d_h_word[1:] += d_pairs[:, hidden2:]
+    d_h_word = np.zeros((batch, steps, hidden2))
+    d_h_word[:, :-1] += d_pairs[..., :hidden2]
+    d_h_word[:, 1:] += d_pairs[..., hidden2:]
     d_word_logits = _softmax_backward(
         np.asarray(d_word_probs, dtype=np.float64), cache["word_probs"]
     )
     d_h_word += _ff_backward(
         d_word_logits, cache["word_head_cache"], params, "word_head", grads
-    )
-    d_x = _bilstm_backward(d_h_word, cache["word_caches"], params, "lstm_word", grads)
+    ).reshape(batch, steps, hidden2)
+    d_x = _bilstm_backward(d_h_word, cache["word_cache"], "lstm_word", grads)
 
     e = config.embed_dim
-    np.add.at(grads["embed_word"], cache["word_ids"], d_x[:, :e])
-    np.add.at(grads["embed_tag"], cache["tag_ids"], d_x[:, e:])
+    np.add.at(grads["embed_word"], cache["words"].ravel(), d_x[..., :e].reshape(-1, e))
+    np.add.at(grads["embed_tag"], cache["tags"].ravel(), d_x[..., e:].reshape(-1, e))
     return grads
 
 

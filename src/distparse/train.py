@@ -201,6 +201,7 @@ def train(
     gold_dev_trees = [
         debinarize(decode(tup, config.decode_engine)) for tup in dev_tuples
     ]
+    dev_sentences = [(tup.words, tup.tags) for tup in dev_tuples]
 
     result = TrainResult(params, model_config, vocab)
     best_f1 = -1.0
@@ -226,13 +227,9 @@ def train(
             sum_label += parts["label"]
         labeled_f1 = unlabeled_f1 = 0.0
         if dev_tuples:
-            predictions = [
-                predict_tree(
-                    params, model_config, vocab, tup.words, tup.tags,
-                    engine=config.decode_engine,
-                )
-                for tup in dev_tuples
-            ]
+            predictions = predict_trees(
+                params, model_config, vocab, dev_sentences, config.decode_engine
+            )
             report = score(gold_dev_trees, predictions)
             labeled_f1 = report.labeled_f1
             unlabeled_f1 = report.unlabeled_f1
@@ -259,39 +256,76 @@ def train(
     return result
 
 
+# predict and dev evaluation run the model over length-sorted batches of
+# this many sentences; sorting keeps the padding, and so the wasted steps,
+# small
+PREDICT_BATCH = 32
+
+
 def predict_scores(
     params: dict[str, np.ndarray],
     model_config: model.ModelConfig,
     vocab: Vocabulary,
-    words: Sequence[str],
-    tags: Sequence[str],
-) -> tuple[DistanceTuple, np.ndarray, np.ndarray]:
-    """Forward pass on raw strings: the argmax-labeled tuple plus the two
-    label probability matrices."""
-    word_ids = [vocab.word_id(w) for w in words]
-    tag_ids = [vocab.tag_id(t) for t in tags]
-    result = model.forward(params, model_config, word_ids, tag_ids)
-    unary = tuple(
-        vocab.word_labels[i] for i in result.word_probs.argmax(axis=1)
+    sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
+) -> list[tuple[DistanceTuple, np.ndarray, np.ndarray]]:
+    """One batched forward pass on raw ``(words, tags)`` pairs: per
+    sentence, in input order, the argmax-labeled tuple plus the two label
+    probability matrices."""
+    results = model.forward_batch(
+        params,
+        model_config,
+        [[vocab.word_id(w) for w in words] for words, _ in sentences],
+        [[vocab.tag_id(t) for t in tags] for _, tags in sentences],
     )
-    split = tuple(
-        vocab.split_labels[i] for i in result.split_probs.argmax(axis=1)
-    )
-    tup = DistanceTuple(
-        words=tuple(words),
-        tags=tuple(tags),
-        unary_labels=unary,
-        distances=tuple(float(d) for d in result.distances),
-        split_labels=split,
-    )
-    return tup, result.word_probs, result.split_probs
+    scored = []
+    for (words, tags), result in zip(sentences, results):
+        tup = DistanceTuple(
+            words=tuple(words),
+            tags=tuple(tags),
+            unary_labels=tuple(
+                vocab.word_labels[i] for i in result.word_probs.argmax(axis=1)
+            ),
+            distances=tuple(result.distances.tolist()),
+            split_labels=tuple(
+                vocab.split_labels[i] for i in result.split_probs.argmax(axis=1)
+            ),
+        )
+        scored.append((tup, result.word_probs, result.split_probs))
+    return scored
 
 
-def predict_tuple(
-    params, model_config, vocab, words, tags
-) -> DistanceTuple:
-    tup, _, _ = predict_scores(params, model_config, vocab, words, tags)
-    return tup
+def predict_trees(
+    params,
+    model_config,
+    vocab,
+    sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
+    engine: str = "stack",
+) -> list[Tree]:
+    """Parse ``(words, tags)`` pairs: predict scores and labels in
+    length-sorted batches of :data:`PREDICT_BATCH`, decode, and expand to
+    n-ary trees, in input order.
+
+    The empty label marks non-constituent spans and is never legal on the
+    root, but an argmax can still put it there; in that case the root keeps
+    its best non-empty label instead, so prediction always yields a
+    well-formed tree.
+    """
+    order = sorted(range(len(sentences)), key=lambda index: len(sentences[index][0]))
+    parsed: list = [None] * len(sentences)
+    for start in range(0, len(order), PREDICT_BATCH):
+        chunk = order[start : start + PREDICT_BATCH]
+        scored = predict_scores(
+            params, model_config, vocab, [sentences[index] for index in chunk]
+        )
+        for index, (tup, _, split_probs) in zip(chunk, scored):
+            tree = decode(tup, engine)
+            if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
+                root_split = int(np.argmax(np.asarray(tup.distances)))
+                tree.label = _best_non_empty(
+                    split_probs[root_split], vocab.split_labels
+                )
+            parsed[index] = debinarize(tree)
+    return parsed
 
 
 def predict_tree(
@@ -302,20 +336,8 @@ def predict_tree(
     tags: Sequence[str],
     engine: str = "stack",
 ) -> Tree:
-    """Parse: predict scores and labels, decode, and expand to an n-ary
-    tree.
-
-    The empty label marks non-constituent spans and is never legal on the
-    root, but an argmax can still put it there; in that case the root keeps
-    its best non-empty label instead, so prediction always yields a
-    well-formed tree.
-    """
-    tup, _, split_probs = predict_scores(params, model_config, vocab, words, tags)
-    tree = decode(tup, engine)
-    if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
-        root_split = int(np.argmax(np.asarray(tup.distances)))
-        tree.label = _best_non_empty(split_probs[root_split], vocab.split_labels)
-    return debinarize(tree)
+    """Parse one sentence: :func:`predict_trees` on a batch of one."""
+    return predict_trees(params, model_config, vocab, [(words, tags)], engine)[0]
 
 
 def _best_non_empty(probs: np.ndarray, labels: tuple[str, ...]) -> str:
@@ -372,7 +394,15 @@ def load_checkpoint(path) -> TrainResult:
         name: np.asarray(values, dtype=np.float64)
         for name, values in payload["params"].items()
     }
-    expected = set(model.init_params(model_config, np.random.default_rng(0)))
-    if set(params) != expected:
+    expected = model.init_params(model_config, np.random.default_rng(0))
+    if set(params) != set(expected):
         raise ValueError("checkpoint parameter names do not match the model")
+    for name in sorted(params):
+        if params[name].shape != expected[name].shape:
+            raise ValueError(
+                f"parameter {name} has shape {params[name].shape}, "
+                f"the model needs {expected[name].shape}"
+            )
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"parameter {name} holds non-finite values")
     return TrainResult(params=params, model_config=model_config, vocab=vocab)

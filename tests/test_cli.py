@@ -249,6 +249,43 @@ class TestTrainPredictScore:
         ) == 1
         assert capsys.readouterr().err.startswith("error: checkpoint:")
 
+    def _broken_checkpoint(self, tmp_path, mini_treebank, damage):
+        ckpt = tmp_path / "model.json"
+        assert main(
+            ["train", "--train", str(mini_treebank), "--epochs", "1", "--out", str(ckpt)]
+        ) == 0
+        payload = json.loads(ckpt.read_text())
+        damage(payload["params"])
+        ckpt.write_text(json.dumps(payload))
+        return ckpt
+
+    def _assert_checkpoint_error(self, capsys, mini_treebank, ckpt, tmp_path):
+        capsys.readouterr()
+        out = tmp_path / "pred.mrg"
+        assert main(
+            ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_truncated_embedding_checkpoint_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys
+    ):
+        def cut(params):
+            params["embed_word"] = params["embed_word"][:3]
+
+        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, cut)
+        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
+
+    def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, mini_treebank, capsys):
+        def poison(params):
+            params["lstm_word_fwd_Wh"][0][0] = float("nan")
+
+        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, poison)
+        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
+
 
 class TestBench:
     def test_csv_output_and_agreement(self, tmp_path, capsys):

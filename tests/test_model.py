@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distparse import model
+from distparse import codec, model
 
 
 def tiny_config():
@@ -57,6 +57,60 @@ class TestShapes:
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
             model.ModelConfig(0, 1, 1, 1).validate()
+
+
+class TestBatch:
+    def test_mixed_lengths_match_per_sentence_forward(self):
+        config = tiny_config()
+        rng = np.random.default_rng(3)
+        params = model.init_params(config, rng)
+        lengths = rng.permutation(np.arange(1, 21))
+        word_ids = [rng.integers(0, config.word_vocab, n).tolist() for n in lengths]
+        tag_ids = [rng.integers(0, config.tag_vocab, n).tolist() for n in lengths]
+        batched = model.forward_batch(params, config, word_ids, tag_ids)
+        assert len(batched) == len(lengths)
+        for words, tags, got in zip(word_ids, tag_ids, batched):
+            want = model.forward(params, config, words, tags)
+            for name in ("distances", "word_probs", "split_probs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+            n = len(words)
+            tuples = [
+                codec.DistanceTuple(
+                    words=tuple(f"w{i}" for i in range(n)),
+                    tags=("T",) * n,
+                    unary_labels=tuple(str(i) for i in r.word_probs.argmax(axis=1)),
+                    distances=tuple(r.distances.tolist()),
+                    split_labels=tuple(str(i) for i in r.split_probs.argmax(axis=1)),
+                )
+                for r in (got, want)
+            ]
+            for engine in codec.ENGINES:
+                assert codec.binary_trees_equal(
+                    codec.decode(tuples[0], engine), codec.decode(tuples[1], engine)
+                )
+
+    def test_batch_of_single_words_runs(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        results = model.forward_batch(params, config, [[1], [2], [3]], [[0], [1], [2]])
+        for result in results:
+            assert result.distances.shape == (0,)
+            assert result.word_probs.shape == (1, config.word_label_vocab)
+            assert result.split_probs.shape == (0, config.split_label_vocab)
+        assert model.forward_batch(params, config, [], []) == []
+
+    def test_backward_needs_a_one_sentence_result(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        result = model.forward_batch(params, config, [[1, 2], [3]], [[0, 1], [2]])[0]
+        with pytest.raises(ValueError):
+            model.backward(
+                params, config, result, np.zeros(1),
+                np.zeros((2, config.word_label_vocab)),
+                np.zeros((1, config.split_label_vocab)),
+            )
 
 
 class TestDeterminism:

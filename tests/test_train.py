@@ -10,8 +10,9 @@ from distparse.train import (
     TrainConfig,
     Vocabulary,
     load_checkpoint,
+    predict_scores,
     predict_tree,
-    predict_tuple,
+    predict_trees,
     save_checkpoint,
     train,
 )
@@ -184,8 +185,42 @@ class TestPrediction:
             tup = next(t for t in train_tuples if len(t.words) >= 2)
         tree = predict_tree(params, config, vocab, tup.words, tup.tags)
         assert isinstance(tree, (NaryTree, Leaf))
-        predicted = predict_tuple(params, config, vocab, tup.words, tup.tags)
+        [(predicted, _, _)] = predict_scores(
+            params, config, vocab, [(tup.words, tup.tags)]
+        )
         assert all(label == EMPTY_LABEL for label in predicted.split_labels)
+
+    def test_predict_trees_keeps_input_order(self):
+        train_tuples, dev_tuples = small_corpus(60, 40)
+        result = train(train_tuples, [], small_config(epochs=1))
+        # more than one batch, with lengths out of order
+        sentences = [(t.words, t.tags) for t in dev_tuples] * 2
+        predicted = predict_trees(
+            result.params, result.model_config, result.vocab, sentences
+        )
+        assert [tuple(words_of(tree)) for tree in predicted] == [
+            words for words, _ in sentences
+        ]
+
+    def test_predict_trees_matches_predict_tree(self):
+        train_tuples, dev_tuples = small_corpus(60, 40)
+        result = train(train_tuples, [], small_config(epochs=1))
+        for engine in ("stack", "rmq", "scan"):
+            batched = predict_trees(
+                result.params,
+                result.model_config,
+                result.vocab,
+                [(t.words, t.tags) for t in dev_tuples],
+                engine,
+            )
+            single = [
+                predict_tree(
+                    result.params, result.model_config, result.vocab,
+                    t.words, t.tags, engine,
+                )
+                for t in dev_tuples
+            ]
+            assert batched == single
 
     def test_single_word_prediction(self):
         train_tuples, _ = small_corpus(60, 0)
