@@ -13,8 +13,10 @@ Exit codes: 0 on success, 1 on failure with a one-line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 from . import __version__, bench, codec, scoring, train as training
@@ -205,6 +207,15 @@ def _train_config(args) -> training.TrainConfig:
     return replace(config, **overrides)
 
 
+@contextlib.contextmanager
+def _numeric_warnings_off():
+    """Silences numpy's overflow warnings: training and prediction check
+    their numbers and stop with one ``NonFiniteError`` line instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
 def cmd_train(args) -> int:
     config = _train_config(args)
     train_tuples, skipped_train = _pipeline_tuples(args.train)
@@ -215,7 +226,11 @@ def cmd_train(args) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
-    result = training.train(train_tuples, dev_tuples, config, log=log)
+    try:
+        with _numeric_warnings_off():
+            result = training.train(train_tuples, dev_tuples, config, log=log)
+    except training.NonFiniteError as exc:
+        raise CliError("train", str(exc))
     metadata = _run_metadata(args, "train")
     metadata["train_config"] = {
         key: getattr(config, key) for key in _CONFIG_FIELDS
@@ -262,13 +277,17 @@ def cmd_predict(args) -> int:
         sentences.append(
             (tuple(leaf.word for leaf in found), tuple(leaf.tag for leaf in found))
         )
-    predicted = training.predict_trees(
-        result.params,
-        result.model_config,
-        result.vocab,
-        sentences,
-        engine=args.engine,
-    )
+    try:
+        with _numeric_warnings_off():
+            predicted = training.predict_trees(
+                result.params,
+                result.model_config,
+                result.vocab,
+                sentences,
+                engine=args.engine,
+            )
+    except training.NonFiniteError as exc:
+        raise CliError("predict", str(exc))
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))
     _write_sidecar(args.out, _run_metadata(args, "predict"))
@@ -286,8 +305,8 @@ def cmd_score(args) -> int:
         report = scoring.score(gold_trees, pred_trees)
         gold_tuples = [codec.encode(binarize(t)) for t in gold_trees]
         pred_tuples = [codec.encode(binarize(t)) for t in pred_trees]
-        word_acc = scoring.word_label_accuracy(gold_tuples, pred_tuples)
-        split_acc = scoring.split_label_accuracy(gold_tuples, pred_tuples)
+        word_acc = scoring.label_accuracy(gold_tuples, pred_tuples, "unary_labels")
+        split_acc = scoring.label_accuracy(gold_tuples, pred_tuples, "split_labels")
     except (scoring.EvaluationError, ValueError) as exc:
         raise CliError("score", str(exc))
     if args.json:

@@ -23,6 +23,7 @@ engines here are sequential.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,7 +38,9 @@ ENGINES = ("scan", "rmq", "stack")
 @dataclass(frozen=True)
 class DistanceTuple:
     """The per-sentence encoding: words, tags, and word unary labels (one
-    per word) plus split scores and split labels (one per split point)."""
+    per word) plus split scores and split labels (one per split point).
+    Split scores must be finite: no ranking of NaN is meaningful, and the
+    engines would each read one differently."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
@@ -58,6 +61,13 @@ class DistanceTuple:
             raise ValueError(
                 f"expected {n - 1} distances and split labels for {n} words, "
                 f"got {len(self.distances)}/{len(self.split_labels)}"
+            )
+        if not all(map(math.isfinite, self.distances)):
+            index = next(
+                i for i, d in enumerate(self.distances) if not math.isfinite(d)
+            )
+            raise ValueError(
+                f"distance {index} is {self.distances[index]}, scores must be finite"
             )
 
     def __len__(self) -> int:
@@ -164,14 +174,6 @@ def _compact(level: np.ndarray) -> array:
     out = array(_INDEX_TYPECODE)
     out.frombytes(level.astype(np.int32).tobytes())
     return out
-
-
-def build_sparse_table(distances: Sequence[float]) -> SparseTable:
-    return SparseTable(distances)
-
-
-def range_argmax(table: SparseTable, lo: int, hi: int) -> int:
-    return table.argmax(lo, hi)
 
 
 def _decode_top_down(
@@ -321,18 +323,56 @@ def to_json_line(tup: DistanceTuple) -> str:
     )
 
 
+_STRING = frozenset({str})
+_NUMBER = frozenset({int, float})  # not bool, which JSON keeps apart
+_JSON_KIND = {
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _list_field(record: dict, name: str, allowed: frozenset, kind: str) -> list:
+    """``record[name]``, checked to be a list of elements of the allowed
+    types (``kind`` names them for the error message)."""
+    try:
+        values = record[name]
+    except KeyError:
+        raise ValueError(f"record is missing field {name!r}")
+    if type(values) is not list:
+        raise ValueError(
+            f"field {name!r} must be a list of {kind}, not {_JSON_KIND[type(values)]}"
+        )
+    if not allowed.issuperset(map(type, values)):
+        index = next(i for i, v in enumerate(values) if type(v) not in allowed)
+        raise ValueError(
+            f"field {name!r} must be a list of {kind}, "
+            f"but item {index} is {_JSON_KIND[type(values[index])]}"
+        )
+    return values
+
+
 def from_json_line(line: str) -> DistanceTuple:
-    """Parse one interchange record; raises ValueError on malformed input."""
+    """Parse one interchange record; raises ValueError on malformed input:
+    a missing field, a field that is not a list of the right element type
+    (numbers for ``distances``, strings for the rest), or a non-finite
+    distance."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
+    words = _list_field(record, "words", _STRING, "strings")
+    tags = _list_field(record, "tags", _STRING, "strings")
+    unary_labels = _list_field(record, "unary_labels", _STRING, "strings")
+    distances = _list_field(record, "distances", _NUMBER, "numbers")
+    split_labels = _list_field(record, "split_labels", _STRING, "strings")
     try:
-        return DistanceTuple(
-            words=tuple(str(w) for w in record["words"]),
-            tags=tuple(str(t) for t in record["tags"]),
-            unary_labels=tuple(str(u) for u in record["unary_labels"]),
-            distances=tuple(float(d) for d in record["distances"]),
-            split_labels=tuple(str(c) for c in record["split_labels"]),
-        )
-    except KeyError as missing:
-        raise ValueError(f"record is missing field {missing}")
+        distances = tuple(map(float, distances))
+    except OverflowError:
+        raise ValueError("field 'distances' holds an integer too large for a float")
+    return DistanceTuple(
+        tuple(words), tuple(tags), tuple(unary_labels), distances, tuple(split_labels)
+    )

@@ -11,8 +11,15 @@ Pipeline, for an n-word sentence:
 6. a 2-layer head with a single linear output unit -> the split scores
 7. a 2-layer head with softmax over split labels
 
-Everything is float64 numpy; parameters live in a flat name->array dict so
-the optimizer and the gradient checks can treat them uniformly.
+Everything is float64 numpy. All parameters live in one contiguous vector,
+and :class:`FlatParams` maps each name to a view into it, so the optimizer
+updates the whole model with a few vector operations while the forward
+pass and the gradient checks address arrays by name. :func:`backward`
+returns the gradients in a fresh buffer with the same layout, writing each
+gradient once (only the embedding slices are zeroed, for ``np.add.at``).
+Each BiLSTM's weights are stored stacked by direction, forward first:
+``lstm_word_Wx`` is (2, in, 4h), ``lstm_word_Wh`` (2, h, 4h) and
+``lstm_word_b`` (2, 4h), and likewise for ``lstm_split``.
 
 There is one implementation, over a padded batch. :func:`forward_batch`
 stacks B sentences into (B, T, ·) arrays, T the longest length, each
@@ -31,6 +38,7 @@ batches of 32 so that little padding is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,38 +80,80 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fresh parameter dict. LSTM forget-gate biases start at 1."""
-    config.validate()
+class FlatParams(dict):
+    """Name -> array mapping whose arrays are views that tile one contiguous
+    float64 vector, :attr:`flat`, in insertion order.
+
+    Update the arrays in place; assigning a new array to a name would detach
+    it from :attr:`flat`.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat=None):
+        super().__init__()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            super().__setitem__(name, self.flat[offset : offset + size].reshape(shape))
+            offset += size
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: value.shape for name, value in self.items()}
+
+    def empty_like(self) -> "FlatParams":
+        """A buffer with the same layout and uninitialized values."""
+        return FlatParams(self.shapes(), np.empty_like(self.flat))
+
+    def copy(self) -> "FlatParams":
+        return FlatParams(self.shapes(), self.flat.copy())
+
+
+_HEADS = ("word_head", "dist_head", "split_head")
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in the order of the flat layout."""
     e, h = config.embed_dim, config.hidden_dim
     m, f = config.conv_channels, config.ff_hidden
-    params: dict[str, np.ndarray] = {
-        "embed_word": rng.uniform(-0.1, 0.1, size=(config.word_vocab, e)),
-        "embed_tag": rng.uniform(-0.1, 0.1, size=(config.tag_vocab, e)),
+    shapes = {
+        "embed_word": (config.word_vocab, e),
+        "embed_tag": (config.tag_vocab, e),
     }
     for prefix, in_dim in (("lstm_word", 2 * e), ("lstm_split", m)):
-        for direction in ("fwd", "bwd"):
-            bias = np.zeros(4 * h)
-            bias[h : 2 * h] = 1.0
-            params[f"{prefix}_{direction}_Wx"] = _glorot(rng, in_dim, 4 * h)
-            params[f"{prefix}_{direction}_Wh"] = _glorot(rng, h, 4 * h)
-            params[f"{prefix}_{direction}_b"] = bias
-    params["conv_W"] = _glorot(rng, 4 * h, m)
-    params["conv_b"] = np.zeros(m)
-    for head, out_dim in (
-        ("word_head", config.word_label_vocab),
-        ("dist_head", 1),
-        ("split_head", config.split_label_vocab),
-    ):
-        params[f"{head}_W1"] = _glorot(rng, 2 * h, f)
-        params[f"{head}_b1"] = np.zeros(f)
-        params[f"{head}_W2"] = _glorot(rng, f, out_dim)
-        params[f"{head}_b2"] = np.zeros(out_dim)
+        shapes[f"{prefix}_Wx"] = (2, in_dim, 4 * h)
+        shapes[f"{prefix}_Wh"] = (2, h, 4 * h)
+        shapes[f"{prefix}_b"] = (2, 4 * h)
+    shapes["conv_W"] = (4 * h, m)
+    shapes["conv_b"] = (m,)
+    out_dims = (config.word_label_vocab, 1, config.split_label_vocab)
+    for head, out_dim in zip(_HEADS, out_dims):
+        shapes[f"{head}_W1"] = (2 * h, f)
+        shapes[f"{head}_b1"] = (f,)
+        shapes[f"{head}_W2"] = (f, out_dim)
+        shapes[f"{head}_b2"] = (out_dim,)
+    return shapes
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatParams:
+    """Fresh parameters; biases start at 0 except the LSTM forget gates, at 1.
+
+    The draws run embeddings, then per LSTM forward Wx, forward Wh, backward
+    Wx, backward Wh, then the conv and each head's W1 and W2.
+    """
+    config.validate()
+    h = config.hidden_dim
+    params = FlatParams(param_shapes(config))
+    for name in ("embed_word", "embed_tag"):
+        params[name][...] = rng.uniform(-0.1, 0.1, size=params[name].shape)
+    for prefix in ("lstm_word", "lstm_split"):
+        for direction in range(2):
+            for kind in ("Wx", "Wh"):
+                weights = params[f"{prefix}_{kind}"][direction]
+                weights[...] = _glorot(rng, *weights.shape)
+        params[f"{prefix}_b"][:, h : 2 * h] = 1.0
+    for name in ("conv_W", *(f"{head}_{w}" for head in _HEADS for w in ("W1", "W2"))):
+        params[name][...] = _glorot(rng, *params[name].shape)
     return params
-
-
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(value) for name, value in params.items()}
 
 
 def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
@@ -152,9 +202,8 @@ def _bilstm_forward(x, rev, params, prefix):
     small.
     """
     batch, steps, width = x.shape
-    Wx = np.stack([params[f"{prefix}_fwd_Wx"], params[f"{prefix}_bwd_Wx"]])
-    Wh = np.stack([params[f"{prefix}_fwd_Wh"], params[f"{prefix}_bwd_Wh"]])
-    b = np.stack([params[f"{prefix}_fwd_b"], params[f"{prefix}_bwd_b"]])
+    Wx, Wh = params[f"{prefix}_Wx"], params[f"{prefix}_Wh"]
+    b = params[f"{prefix}_b"]
     hidden = Wh.shape[1]
     rows = np.arange(batch)[:, None]
     xs = np.stack([x, x[rows, rev]]).reshape(2, batch * steps, width)
@@ -176,7 +225,8 @@ def _bilstm_forward(x, rev, params, prefix):
 
 
 def _bilstm_backward(d_out, cache, prefix, grads):
-    """Gradients of both directions from d_out (B, T, 2h); returns d_x."""
+    """Gradients of both directions from d_out (B, T, 2h), written into
+    ``grads``; returns d_x."""
     xs, rev, Wx, Wh, b, h_all, c_all = cache
     steps, _, batch, hidden = h_all[1:].shape
     rows = np.arange(batch)[:, None]
@@ -216,13 +266,9 @@ def _bilstm_backward(d_out, cache, prefix, grads):
     dz_rows = dz_all.reshape(steps, 2, batch, 4 * hidden).transpose(1, 2, 0, 3)
     dz_rows = dz_rows.reshape(2, batch * steps, 4 * hidden)
     h_prev = h_all[:-1].transpose(1, 2, 0, 3).reshape(2, batch * steps, hidden)
-    g_Wx = np.matmul(xs.transpose(0, 2, 1), dz_rows)
-    g_Wh = np.matmul(h_prev.transpose(0, 2, 1), dz_rows)
-    g_b = dz_rows.sum(axis=1)
-    for k, direction in enumerate(("fwd", "bwd")):
-        grads[f"{prefix}_{direction}_Wx"] += g_Wx[k]
-        grads[f"{prefix}_{direction}_Wh"] += g_Wh[k]
-        grads[f"{prefix}_{direction}_b"] += g_b[k]
+    np.matmul(xs.transpose(0, 2, 1), dz_rows, out=grads[f"{prefix}_Wx"])
+    np.matmul(h_prev.transpose(0, 2, 1), dz_rows, out=grads[f"{prefix}_Wh"])
+    dz_rows.sum(axis=1, out=grads[f"{prefix}_b"])
     d_xs = np.matmul(dz_rows, Wx.transpose(0, 2, 1)).reshape(
         2, batch, steps, xs.shape[2]
     )
@@ -238,12 +284,12 @@ def _ff_forward(x, params, prefix):
 
 def _ff_backward(d_out, cache, params, prefix, grads):
     x, hidden = cache
-    grads[f"{prefix}_W2"] += hidden.T @ d_out
-    grads[f"{prefix}_b2"] += d_out.sum(axis=0)
+    np.matmul(hidden.T, d_out, out=grads[f"{prefix}_W2"])
+    d_out.sum(axis=0, out=grads[f"{prefix}_b2"])
     d_hidden = d_out @ params[f"{prefix}_W2"].T
     d_pre = d_hidden * (1.0 - hidden * hidden)
-    grads[f"{prefix}_W1"] += x.T @ d_pre
-    grads[f"{prefix}_b1"] += d_pre.sum(axis=0)
+    np.matmul(x.T, d_pre, out=grads[f"{prefix}_W1"])
+    d_pre.sum(axis=0, out=grads[f"{prefix}_b1"])
     return d_pre @ params[f"{prefix}_W1"].T
 
 
@@ -374,15 +420,16 @@ def forward(
 
 
 def backward(
-    params: dict[str, np.ndarray],
+    params: FlatParams,
     config: ModelConfig,
     result: ForwardResult,
     d_distances: np.ndarray,
     d_word_probs: np.ndarray,
     d_split_probs: np.ndarray,
-) -> dict[str, np.ndarray]:
+) -> FlatParams:
     """Gradients of a scalar loss given its gradients at the three outputs
-    of a one-sentence forward.
+    of a one-sentence forward, in a fresh buffer with the layout of
+    ``params``.
 
     Probability gradients are chained through the softmax here.
     """
@@ -390,7 +437,7 @@ def backward(
     batch, steps = cache["words"].shape
     if batch != 1:
         raise ValueError("backward needs the result of a one-sentence forward")
-    grads = zero_grads(params)
+    grads = params.empty_like()
     hidden2 = 2 * config.hidden_dim
     splits = steps - 1
 
@@ -413,8 +460,8 @@ def backward(
     g_split = cache["g_split"]
     d_conv_pre = d_g_split * (1.0 - g_split * g_split)
     pairs = cache["pairs"]
-    grads["conv_W"] += pairs.T @ d_conv_pre
-    grads["conv_b"] += d_conv_pre.sum(axis=0)
+    np.matmul(pairs.T, d_conv_pre, out=grads["conv_W"])
+    d_conv_pre.sum(axis=0, out=grads["conv_b"])
     d_pairs = (d_conv_pre @ params["conv_W"].T).reshape(batch, splits, 2 * hidden2)
 
     d_h_word = np.zeros((batch, steps, hidden2))
@@ -429,8 +476,12 @@ def backward(
     d_x = _bilstm_backward(d_h_word, cache["word_cache"], "lstm_word", grads)
 
     e = config.embed_dim
-    np.add.at(grads["embed_word"], cache["words"].ravel(), d_x[..., :e].reshape(-1, e))
-    np.add.at(grads["embed_tag"], cache["tags"].ravel(), d_x[..., e:].reshape(-1, e))
+    for name, ids, d_embed in (
+        ("embed_word", cache["words"], d_x[..., :e]),
+        ("embed_tag", cache["tags"], d_x[..., e:]),
+    ):
+        grads[name].fill(0.0)
+        np.add.at(grads[name], ids.ravel(), d_embed.reshape(-1, e))
     return grads
 
 
@@ -438,7 +489,7 @@ LOSS_KINDS = ("rank", "mse")
 
 
 def sentence_loss(
-    params: dict[str, np.ndarray],
+    params: FlatParams,
     config: ModelConfig,
     word_ids: Sequence[int],
     tag_ids: Sequence[int],
@@ -446,7 +497,7 @@ def sentence_loss(
     gold_word_labels: Sequence[int],
     gold_split_labels: Sequence[int],
     distance_loss: str = "rank",
-) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+) -> tuple[dict[str, float], FlatParams]:
     """Total loss (distance + label terms) and its parameter gradients for
     one sentence."""
     if distance_loss not in LOSS_KINDS:

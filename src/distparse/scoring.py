@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .codec import DistanceTuple
-from .trees import Leaf, Tree
+from .trees import Leaf, Tree, leaves
 
 
 class EvaluationError(ValueError):
@@ -21,14 +21,12 @@ class EvaluationError(ValueError):
 
 @dataclass
 class EvalCounts:
-    """Additive per-corpus bracket and word-label counts."""
+    """Additive per-corpus bracket counts."""
 
     matched_labeled: int = 0
     matched_unlabeled: int = 0
     gold_total: int = 0
     pred_total: int = 0
-    correct_word_labels: int = 0
-    total_words: int = 0
 
     def __add__(self, other: "EvalCounts") -> "EvalCounts":
         return EvalCounts(
@@ -36,8 +34,6 @@ class EvalCounts:
             self.matched_unlabeled + other.matched_unlabeled,
             self.gold_total + other.gold_total,
             self.pred_total + other.pred_total,
-            self.correct_word_labels + other.correct_word_labels,
-            self.total_words + other.total_words,
         )
 
 
@@ -61,21 +57,9 @@ def extract_spans(tree: Tree) -> Counter:
     return spans
 
 
-def words_of(tree: Tree) -> list[str]:
-    out = []
-    work = [tree]
-    while work:
-        node = work.pop()
-        if isinstance(node, Leaf):
-            out.append(node.word)
-        else:
-            work.extend(reversed(node.children))
-    return out
-
-
 def count_pair(gold: Tree, pred: Tree, index: int = 0) -> EvalCounts:
     """Bracket counts for one sentence; leaves must match."""
-    if words_of(gold) != words_of(pred):
+    if [leaf.word for leaf in leaves(gold)] != [leaf.word for leaf in leaves(pred)]:
         raise EvaluationError(f"leaf mismatch in sentence {index}")
     gold_spans = extract_spans(gold)
     pred_spans = extract_spans(pred)
@@ -153,10 +137,12 @@ def score(gold: list[Tree], pred: list[Tree]) -> ScoreReport:
     return report_from_counts(counts, len(gold))
 
 
-def word_label_accuracy(
-    gold_tuples: list[DistanceTuple], pred_tuples: list[DistanceTuple]
+def label_accuracy(
+    gold_tuples: list[DistanceTuple], pred_tuples: list[DistanceTuple], field: str
 ) -> float:
-    """Percentage of word positions whose unary label matches gold."""
+    """Percentage of positions whose label matches gold, for ``field``
+    ``"unary_labels"`` (one per word) or ``"split_labels"`` (one per split
+    point)."""
     if len(gold_tuples) != len(pred_tuples):
         raise ValueError(
             f"got {len(gold_tuples)} gold but {len(pred_tuples)} predicted tuples"
@@ -166,30 +152,9 @@ def word_label_accuracy(
     for index, (g, p) in enumerate(zip(gold_tuples, pred_tuples)):
         if len(g) != len(p):
             raise ValueError(f"tuple length mismatch in sentence {index}")
-        total += len(g)
-        correct += sum(
-            1 for gu, pu in zip(g.unary_labels, p.unary_labels) if gu == pu
-        )
-    return 100.0 * correct / total if total else 0.0
-
-
-def split_label_accuracy(
-    gold_tuples: list[DistanceTuple], pred_tuples: list[DistanceTuple]
-) -> float:
-    """Percentage of split positions whose label matches gold."""
-    if len(gold_tuples) != len(pred_tuples):
-        raise ValueError(
-            f"got {len(gold_tuples)} gold but {len(pred_tuples)} predicted tuples"
-        )
-    correct = 0
-    total = 0
-    for index, (g, p) in enumerate(zip(gold_tuples, pred_tuples)):
-        if len(g) != len(p):
-            raise ValueError(f"tuple length mismatch in sentence {index}")
-        total += len(g.split_labels)
-        correct += sum(
-            1 for gc, pc in zip(g.split_labels, p.split_labels) if gc == pc
-        )
+        gold_labels, pred_labels = getattr(g, field), getattr(p, field)
+        total += len(gold_labels)
+        correct += sum(1 for a, b in zip(gold_labels, pred_labels) if a == b)
     return 100.0 * correct / total if total else 0.0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
@@ -97,12 +98,23 @@ class TrainConfig:
     decode_engine: str = "stack"
 
 
+class NonFiniteError(ValueError):
+    """A loss or a model output that is NaN or infinite."""
+
+
 class Adam:
-    """Adam with decoupled weight decay, over a flat parameter dict."""
+    """Adam with decoupled weight decay, over one flat parameter vector.
+
+    Each step is a fixed sequence of whole-vector operations on the vector,
+    the gradient and two moment vectors, through two scratch vectors; per
+    element it computes, in this order, ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr * (m/c1 / (sqrt(v/c2) + eps) + wd*p)``.
+    """
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
         learning_rate: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -115,26 +127,33 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.first_moment = {k: np.zeros_like(v) for k, v in params.items()}
-        self.second_moment = {k: np.zeros_like(v) for k, v in params.items()}
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update ``params`` in place from ``grads`` (same shape)."""
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
-        for name in params:
-            g = grads[name]
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            params[name] -= self.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[name]
-            )
+        m, v = self.first_moment, self.second_moment
+        s, t = self._scratch
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=s)
+        s *= grads
+        v += s
+        np.divide(m, correction1, out=s)
+        np.divide(v, correction2, out=t)
+        np.sqrt(t, out=t)
+        t += self.eps
+        s /= t
+        np.multiply(params, self.weight_decay, out=t)
+        s += t
+        s *= self.learning_rate
+        params -= s
 
 
 @dataclass
@@ -149,7 +168,7 @@ class EpochMetrics:
 
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]
+    params: model.FlatParams
     model_config: model.ModelConfig
     vocab: Vocabulary
     history: list[EpochMetrics] = field(default_factory=list)
@@ -173,7 +192,12 @@ def train(
     log=None,
 ) -> TrainResult:
     """Train on encoded sentences; keep the epoch with the best dev labeled
-    F1. Deterministic given the corpus and ``config.seed``."""
+    F1. Deterministic given the corpus and ``config.seed``.
+
+    Raises :class:`NonFiniteError` as soon as a sentence's loss, or the
+    parameters at the end of an epoch, are NaN or infinite, rather than
+    carry on with broken weights.
+    """
     if not train_tuples:
         raise ValueError("empty training corpus")
     vocab = Vocabulary.build(train_tuples)
@@ -190,7 +214,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = model.init_params(model_config, rng)
     optimizer = Adam(
-        params,
+        params.flat,
         learning_rate=config.learning_rate,
         beta1=config.beta1,
         beta2=config.beta2,
@@ -205,7 +229,7 @@ def train(
 
     result = TrainResult(params, model_config, vocab)
     best_f1 = -1.0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(examples))
         sum_dist = 0.0
@@ -222,9 +246,14 @@ def train(
                 gold_s,
                 config.distance_loss,
             )
-            optimizer.step(params, grads)
+            if not math.isfinite(parts["total"]):
+                raise NonFiniteError(f"non-finite loss at epoch {epoch}")
+            optimizer.step(params.flat, grads.flat)
             sum_dist += parts["distance"]
             sum_label += parts["label"]
+        # the epoch's last step can break the weights with no loss to show it
+        if not np.isfinite(params.flat).all():
+            raise NonFiniteError(f"non-finite parameters at epoch {epoch}")
         labeled_f1 = unlabeled_f1 = 0.0
         if dev_tuples:
             predictions = predict_trees(
@@ -250,7 +279,7 @@ def train(
             )
         if not dev_tuples or labeled_f1 > best_f1:
             best_f1 = labeled_f1
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params.copy()
             result.best_epoch = epoch
     result.params = best_params
     return result
@@ -270,28 +299,55 @@ def predict_scores(
 ) -> list[tuple[DistanceTuple, np.ndarray, np.ndarray]]:
     """One batched forward pass on raw ``(words, tags)`` pairs: per
     sentence, in input order, the argmax-labeled tuple plus the two label
-    probability matrices."""
+    probability matrices.
+
+    Raises :class:`NonFiniteError` if a sentence's scores or label
+    probabilities are not all finite (parameters large enough to overflow),
+    since no tree decoded from them would mean anything.
+    """
     results = model.forward_batch(
         params,
         model_config,
         [[vocab.word_id(w) for w in words] for words, _ in sentences],
         [[vocab.tag_id(t) for t in tags] for _, tags in sentences],
     )
+    if not results:
+        return []
+    # the label probabilities of the whole batch in two checks; the batch
+    # rows include padding, so only a failure is checked sentence by sentence
+    batch_probs = (results[0].cache["word_probs"], results[0].cache["split_probs"])
+    probs_finite = all(np.isfinite(probs).all() for probs in batch_probs)
     scored = []
     for (words, tags), result in zip(sentences, results):
-        tup = DistanceTuple(
-            words=tuple(words),
-            tags=tuple(tags),
-            unary_labels=tuple(
-                vocab.word_labels[i] for i in result.word_probs.argmax(axis=1)
-            ),
-            distances=tuple(result.distances.tolist()),
-            split_labels=tuple(
-                vocab.split_labels[i] for i in result.split_probs.argmax(axis=1)
-            ),
-        )
+        if not (
+            probs_finite
+            or np.isfinite(result.word_probs).all()
+            and np.isfinite(result.split_probs).all()
+        ):
+            raise NonFiniteError(_non_finite_output(words))
+        try:
+            tup = DistanceTuple(
+                words=tuple(words),
+                tags=tuple(tags),
+                unary_labels=tuple(
+                    vocab.word_labels[i] for i in result.word_probs.argmax(axis=1)
+                ),
+                distances=tuple(result.distances.tolist()),
+                split_labels=tuple(
+                    vocab.split_labels[i] for i in result.split_probs.argmax(axis=1)
+                ),
+            )
+        except ValueError:  # the lengths agree, so a score is not finite
+            raise NonFiniteError(_non_finite_output(words)) from None
         scored.append((tup, result.word_probs, result.split_probs))
     return scored
+
+
+def _non_finite_output(words: Sequence[str]) -> str:
+    return (
+        f"non-finite model output for the {len(words)}-word sentence "
+        f"starting {words[0]!r}"
+    )
 
 
 def predict_trees(
@@ -349,6 +405,22 @@ def _best_non_empty(probs: np.ndarray, labels: tuple[str, ...]) -> str:
 
 
 CHECKPOINT_FORMAT = "distparse.checkpoint"
+_DIRECTIONS = ("fwd", "bwd")
+
+
+def _checkpoint_arrays(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrays under their checkpoint names: each direction-stacked LSTM
+    array ``<lstm>_<kind>`` splits into ``<lstm>_fwd_<kind>`` and
+    ``<lstm>_bwd_<kind>``. The values are views into ``params``."""
+    arrays = {}
+    for name, value in params.items():
+        if name.startswith("lstm_"):
+            prefix, _, kind = name.rpartition("_")
+            for direction, half in zip(_DIRECTIONS, value):
+                arrays[f"{prefix}_{direction}_{kind}"] = half
+        else:
+            arrays[name] = value
+    return arrays
 
 
 def save_checkpoint(
@@ -357,7 +429,8 @@ def save_checkpoint(
     metadata: dict | None = None,
 ) -> None:
     """Write a self-describing JSON checkpoint (dimensions, vocabularies,
-    and every parameter array keyed by name)."""
+    and every parameter array keyed by name, one per LSTM direction)."""
+    arrays = _checkpoint_arrays(result.params)
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": 1,
@@ -368,9 +441,7 @@ def save_checkpoint(
             "word_labels": list(result.vocab.word_labels),
             "split_labels": list(result.vocab.split_labels),
         },
-        "params": {
-            name: result.params[name].tolist() for name in sorted(result.params)
-        },
+        "params": {name: arrays[name].tolist() for name in sorted(arrays)},
         "metadata": metadata or {},
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -390,19 +461,19 @@ def load_checkpoint(path) -> TrainResult:
         word_labels=tuple(payload["vocab"]["word_labels"]),
         split_labels=tuple(payload["vocab"]["split_labels"]),
     )
-    params = {
-        name: np.asarray(values, dtype=np.float64)
-        for name, values in payload["params"].items()
-    }
-    expected = model.init_params(model_config, np.random.default_rng(0))
-    if set(params) != set(expected):
+    model_config.validate()
+    params = model.FlatParams(model.param_shapes(model_config))
+    slots = _checkpoint_arrays(params)
+    if set(payload["params"]) != set(slots):
         raise ValueError("checkpoint parameter names do not match the model")
-    for name in sorted(params):
-        if params[name].shape != expected[name].shape:
+    for name in sorted(slots):
+        values = np.asarray(payload["params"][name], dtype=np.float64)
+        if values.shape != slots[name].shape:
             raise ValueError(
-                f"parameter {name} has shape {params[name].shape}, "
-                f"the model needs {expected[name].shape}"
+                f"parameter {name} has shape {values.shape}, "
+                f"the model needs {slots[name].shape}"
             )
-        if not np.isfinite(params[name]).all():
+        if not np.isfinite(values).all():
             raise ValueError(f"parameter {name} holds non-finite values")
+        slots[name][...] = values
     return TrainResult(params=params, model_config=model_config, vocab=vocab)

@@ -174,12 +174,6 @@ def leaves(tree: Tree) -> list[Leaf]:
     return found
 
 
-def read_treebank(path) -> list[Tree]:
-    """Read every tree from a bracketed UTF-8 file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_bracketed(handle.read())
-
-
 def write_treebank(trees: Iterator[Tree] | list[Tree], path) -> None:
     """Write trees one per line."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,46 @@ class TestEncodeDecode:
         jsonl.write_text('{"words": ["a"]}\n')
         assert main(["decode", str(jsonl)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("words", "ab"),  # a string, not a list of strings
+            ("words", [1, "b"]),  # a number among the words
+            ("distances", [True]),  # a boolean is not a number
+            ("distances", float("nan")),  # not a list
+        ],
+    )
+    def test_mistyped_jsonl_field_fails_cleanly(self, tmp_path, capsys, field, value):
+        record = {
+            "words": ["a", "b"],
+            "tags": ["DT", "NN"],
+            "unary_labels": ["∅", "∅"],
+            "distances": [1.0],
+            "split_labels": ["NP"],
+        }
+        record[field] = value
+        good = dict(record, **{field: [1.0] if field == "distances" else ["a", "b"]})
+        jsonl = tmp_path / "typed.jsonl"
+        jsonl.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        out = tmp_path / "typed.mrg"
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: decode: {jsonl}: line 2: field '{field}'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_jsonl_distance_fails_cleanly(self, tmp_path, capsys):
+        jsonl = tmp_path / "nan.jsonl"
+        jsonl.write_text(
+            '{"words": ["a", "b", "c"], "tags": ["X", "X", "X"], '
+            '"unary_labels": ["∅", "∅", "∅"], "distances": [1, NaN], '
+            '"split_labels": ["S", "NP"]}\n'
+        )
+        assert main(["decode", str(jsonl)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: decode:") and "line 1" in err
+        assert err.count("\n") == 1
 
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["encode", "/nonexistent/path.mrg"]) == 1
@@ -285,6 +326,51 @@ class TestTrainPredictScore:
 
         ckpt = self._broken_checkpoint(tmp_path, mini_treebank, poison)
         self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
+
+
+    def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
+        config = tmp_path / "diverge.cfg"
+        config.write_text("learning_rate = 1e30\n")
+        ckpt = tmp_path / "model.json"
+        metrics = tmp_path / "metrics.jsonl"
+        argv = [
+            "train",
+            "--train", str(mini_treebank),
+            "--config", str(config),
+            "--epochs", "2",
+            "--out", str(ckpt),
+            "--metrics", str(metrics),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: train: non-finite loss at epoch ")
+        assert last.rpartition(" ")[2] in ("1", "2")
+        assert "Traceback" not in err
+        assert not ckpt.exists() and not metrics.exists()
+
+    def test_overflowing_model_output_fails_cleanly(self, tmp_path, mini_treebank, capsys):
+        def overflow(params):
+            # every hidden unit saturates at 1 and the score head sums 1e308s
+            params["dist_head_W1"] = [[0.0] * len(row) for row in params["dist_head_W1"]]
+            params["dist_head_b1"] = [1e3] * len(params["dist_head_b1"])
+            params["dist_head_W2"] = [[1e308] for _ in params["dist_head_W2"]]
+
+        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, overflow)
+        capsys.readouterr()
+        out = tmp_path / "pred.mrg"
+        argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: predict: non-finite model output")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBench:

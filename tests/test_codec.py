@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from distparse.codec import (
     DistanceTuple,
     SparseTable,
     binary_trees_equal,
-    build_sparse_table,
     decode,
     decode_stack,
     encode,
     from_json_line,
-    range_argmax,
     rank_signature,
     to_json_line,
 )
@@ -198,6 +197,38 @@ class TestDecode:
             assert binary_trees_equal(scan, decode(tup, "rmq"))
             assert binary_trees_equal(scan, decode(tup, "stack"))
 
+    def test_engines_agree_or_all_raise_on_any_scores(self):
+        # score vectors with ties, NaN and infinities: every engine returns
+        # the same tree, or every engine refuses the scores
+        rng = np.random.default_rng(17)
+        pool = (0.0, 1.0, 1.0, 2.0, -1.0, float("nan"), float("inf"), float("-inf"))
+        refused = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 12))
+            distances = tuple(pool[i] for i in rng.integers(len(pool), size=n - 1))
+            outcomes = []
+            for engine in ENGINES:
+                try:
+                    tup = DistanceTuple(
+                        tuple(f"w{i}" for i in range(n)),
+                        ("T",) * n,
+                        ("X",) * n,
+                        distances,
+                        tuple(f"L{i}" for i in range(n - 1)),
+                    )
+                    outcomes.append(decode(tup, engine))
+                except ValueError:
+                    outcomes.append(None)
+            if outcomes[0] is None:
+                assert outcomes == [None] * len(ENGINES), distances
+                assert not all(np.isfinite(distances))
+                refused += 1
+            else:
+                assert all(np.isfinite(distances))
+                for tree in outcomes[1:]:
+                    assert tree is not None and binary_trees_equal(outcomes[0], tree)
+        assert 0 < refused < 1000
+
     def test_rank_invariance_under_monotone_transforms(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
@@ -268,14 +299,14 @@ class TestRankSignature:
 
 class TestSparseTable:
     def test_examples(self):
-        table = build_sparse_table([2.0, 1.0, 3.0])
-        assert range_argmax(table, 0, 3) == 2
-        assert range_argmax(table, 0, 2) == 0
-        table = build_sparse_table([5.0, 5.0])
-        assert range_argmax(table, 0, 2) == 0
+        table = SparseTable([2.0, 1.0, 3.0])
+        assert table.argmax(0, 3) == 2
+        assert table.argmax(0, 2) == 0
+        table = SparseTable([5.0, 5.0])
+        assert table.argmax(0, 2) == 0
 
     def test_empty_or_invalid_range_rejected(self):
-        table = build_sparse_table([1.0, 2.0])
+        table = SparseTable([1.0, 2.0])
         for lo, hi in ((0, 0), (1, 1), (2, 1), (-1, 1), (0, 3)):
             with pytest.raises(ValueError):
                 table.argmax(lo, hi)
@@ -321,6 +352,34 @@ class TestJsonl:
         with pytest.raises(ValueError):
             from_json_line(line)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("words", "ab", "field 'words' must be a list of strings, not a string"),
+            ("words", [1, "b"], "item 0 is a number"),
+            ("tags", ["T", None], "item 1 is null"),
+            ("split_labels", [["S"]], "item 0 is a list"),
+            ("distances", [True], "field 'distances' must be a list of numbers"),
+            ("distances", ["1.0"], "item 0 is a string"),
+            ("distances", [float("nan")], "distance 0 is nan"),
+            ("distances", [float("-inf")], "distance 0 is -inf"),
+            ("distances", [10**400], "too large"),
+        ],
+    )
+    def test_mistyped_fields_rejected(self, field, value, message):
+        record = json.loads(to_json_line(encode(right_branching_three())))
+        if field == "distances":
+            record[field] = value + [1.0] if isinstance(value, list) else value
+        else:
+            record[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json_line(json.dumps(record))
+
+    def test_integer_distances_accepted(self):
+        record = json.loads(to_json_line(encode(right_branching_three())))
+        record["distances"] = [2, 1]
+        assert from_json_line(json.dumps(record)).distances == (2.0, 1.0)
+
 
 class TestDistanceTupleValidation:
     def test_zero_words_rejected(self):
@@ -334,3 +393,8 @@ class TestDistanceTupleValidation:
     def test_wrong_tag_count_rejected(self):
         with pytest.raises(ValueError):
             DistanceTuple(("a", "b"), ("T",), ("X", "X"), (1.0,), ("S",))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_distance_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DistanceTuple(("a", "b", "c"), ("T",) * 3, ("X",) * 3, (1.0, bad), ("S",) * 2)

@@ -113,6 +113,65 @@ class TestBatch:
             )
 
 
+class TestFlatLayout:
+    def test_views_tile_the_flat_vector(self):
+        config = tiny_config()
+        rng = np.random.default_rng(5)
+        params = model.init_params(config, rng)
+        _, grads = model.sentence_loss(params, config, *random_example(rng, config, 4))
+        for buffer in (params, grads):
+            assert buffer.flat.dtype == np.float64 and buffer.flat.ndim == 1
+            assert buffer.flat.flags.c_contiguous
+            offset = 0
+            for name, value in buffer.items():
+                assert np.shares_memory(value, buffer.flat), name
+                assert value.flags.c_contiguous, name
+                start = (
+                    value.__array_interface__["data"][0]
+                    - buffer.flat.__array_interface__["data"][0]
+                ) // buffer.flat.itemsize
+                assert start == offset, name
+                offset += value.size
+            assert offset == buffer.flat.size
+        assert grads.shapes() == params.shapes()
+
+    def test_lstm_weights_are_stacked_by_direction(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        e, h, m = config.embed_dim, config.hidden_dim, config.conv_channels
+        for prefix, in_dim in (("lstm_word", 2 * e), ("lstm_split", m)):
+            assert params[f"{prefix}_Wx"].shape == (2, in_dim, 4 * h)
+            assert params[f"{prefix}_Wh"].shape == (2, h, 4 * h)
+            assert params[f"{prefix}_b"].shape == (2, 4 * h)
+            # forget-gate biases start at 1, the rest at 0
+            expected = np.zeros((2, 4 * h))
+            expected[:, h : 2 * h] = 1.0
+            np.testing.assert_array_equal(params[f"{prefix}_b"], expected)
+        assert not any("fwd" in name or "bwd" in name for name in params)
+
+    def test_writes_through_views_reach_the_flat_vector(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        params["conv_b"][2] = 7.5
+        assert (params.flat == 7.5).sum() == 1
+        copy = params.copy()
+        copy["conv_b"][2] = 0.0
+        assert params["conv_b"][2] == 7.5
+        assert not np.shares_memory(copy.flat, params.flat)
+
+    def test_backward_returns_a_fresh_buffer_each_call(self):
+        config = tiny_config()
+        rng = np.random.default_rng(6)
+        params = model.init_params(config, rng)
+        example = random_example(rng, config, 3)
+        _, first = model.sentence_loss(params, config, *example)
+        kept = first.flat.copy()
+        _, second = model.sentence_loss(params, config, *example)
+        assert not np.shares_memory(first.flat, second.flat)
+        np.testing.assert_array_equal(first.flat, kept)
+        np.testing.assert_array_equal(second.flat, kept)
+
+
 class TestDeterminism:
     def test_init_and_forward_reproducible(self):
         config = tiny_config()
@@ -189,6 +248,36 @@ class TestGradients:
             if abs(numeric) + abs(analytic) > 1e-4:
                 rel = abs(numeric - analytic) / (abs(numeric) + abs(analytic))
                 assert rel < 1e-4, (name, idx)
+
+    def test_repeated_word_and_tag_ids_match_finite_differences(self):
+        # a word id and a tag id occur twice, so their embedding rows sum
+        # two positions' gradients through np.add.at
+        config = tiny_config()
+        rng = np.random.default_rng(46)
+        params = model.init_params(config, rng)
+        example = ([3, 5, 3, 1], [2, 2, 0, 4], [3.0, 1.0, 2.0], [0, 1, 2, 3], [1, 4, 0])
+        _, grads = model.sentence_loss(params, config, *example, "rank")
+        eps = 1e-5
+        checked = 0
+        for name, rows in (("embed_word", [1, 3, 5]), ("embed_tag", [0, 2, 4])):
+            untouched = np.setdiff1d(np.arange(params[name].shape[0]), rows)
+            np.testing.assert_array_equal(grads[name][untouched], 0.0)
+            arr = params[name]
+            for row in rows:
+                for col in range(config.embed_dim):
+                    orig = arr[row, col]
+                    arr[row, col] = orig + eps
+                    up = total_loss(params, config, example)
+                    arr[row, col] = orig - eps
+                    down = total_loss(params, config, example)
+                    arr[row, col] = orig
+                    numeric = (up - down) / (2 * eps)
+                    analytic = grads[name][row, col]
+                    assert abs(numeric - analytic) <= 1e-4 * (
+                        abs(numeric) + abs(analytic)
+                    ) + 1e-9, (name, row, col, numeric, analytic)
+                    checked += 1
+        assert checked == 6 * config.embed_dim
 
     def test_single_word_sentence_backward_runs(self):
         config = tiny_config()

@@ -1,8 +1,7 @@
 from distparse import pcfg
 from distparse.binarize import binarize, debinarize
 from distparse.codec import decode, encode
-from distparse.scoring import words_of
-from distparse.trees import serialize_bracketed
+from distparse.trees import leaves, serialize_bracketed
 
 
 class TestGenerator:
@@ -19,7 +18,7 @@ class TestGenerator:
 
     def test_respects_max_length(self):
         for tree in pcfg.generate_trees(300, seed=5, max_length=20):
-            assert 1 <= len(words_of(tree)) <= 20
+            assert 1 <= len(leaves(tree)) <= 20
 
     def test_vocabulary_scale(self):
         assert 80 <= pcfg.vocabulary_size() <= 120

@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from distparse import model, pcfg
 from distparse.binarize import EMPTY_LABEL, binarize, debinarize
 from distparse.codec import decode, encode
-from distparse.scoring import score, words_of
+from distparse.scoring import score
 from distparse.train import (
     Adam,
+    NonFiniteError,
     TrainConfig,
     Vocabulary,
     load_checkpoint,
@@ -16,7 +19,11 @@ from distparse.train import (
     save_checkpoint,
     train,
 )
-from distparse.trees import Leaf, NaryTree
+from distparse.trees import Leaf, NaryTree, leaves
+
+
+def words_of(tree):
+    return [leaf.word for leaf in leaves(tree)]
 
 
 def small_corpus(n_train=200, n_dev=40, seed=500):
@@ -67,28 +74,71 @@ class TestVocabulary:
             Vocabulary.build([])
 
 
+def reference_adam(params, grads_per_step, lr, b1, b2, eps, wd):
+    """Adam as a loop over named arrays, one temporary per operation."""
+    first = {k: np.zeros_like(v) for k, v in params.items()}
+    second = {k: np.zeros_like(v) for k, v in params.items()}
+    for step, grads in enumerate(grads_per_step, start=1):
+        correction1 = 1.0 - b1**step
+        correction2 = 1.0 - b2**step
+        for name in params:
+            g = grads[name]
+            m = first[name]
+            v = second[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / correction1
+            v_hat = v / correction2
+            params[name] -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * params[name])
+
+
 class TestAdam:
     def test_moves_toward_minimum(self):
-        params = {"w": np.array([5.0, -3.0])}
-        opt = Adam(params, learning_rate=0.1)
+        w = np.array([5.0, -3.0])
+        opt = Adam(w, learning_rate=0.1)
         for _ in range(500):
-            grads = {"w": 2.0 * params["w"]}
-            opt.step(params, grads)
-        np.testing.assert_allclose(params["w"], 0.0, atol=1e-3)
+            opt.step(w, 2.0 * w)
+        np.testing.assert_allclose(w, 0.0, atol=1e-3)
 
     def test_weight_decay_shrinks_unused_parameters(self):
-        params = {"w": np.array([1.0])}
-        opt = Adam(params, learning_rate=0.01, weight_decay=0.1)
+        w = np.array([1.0])
+        opt = Adam(w, learning_rate=0.01, weight_decay=0.1)
         for _ in range(100):
-            opt.step(params, {"w": np.zeros(1)})
-        assert abs(params["w"][0]) < 1.0
+            opt.step(w, np.zeros(1))
+        assert abs(w[0]) < 1.0
 
     def test_step_counter(self):
-        params = {"w": np.zeros(2)}
-        opt = Adam(params)
-        opt.step(params, {"w": np.ones(2)})
-        opt.step(params, {"w": np.ones(2)})
+        w = np.zeros(2)
+        opt = Adam(w)
+        opt.step(w, np.ones(2))
+        opt.step(w, np.ones(2))
         assert opt.step_count == 2
+
+    def test_flat_step_is_bitwise_the_per_array_loop(self):
+        config = model.ModelConfig(
+            word_vocab=40, tag_vocab=12, word_label_vocab=9, split_label_vocab=11
+        )
+        rng = np.random.default_rng(11)
+        params = model.init_params(config, rng)
+        reference = {name: value.copy() for name, value in params.items()}
+        grads_per_step = []
+        for _ in range(50):
+            grads = params.empty_like()
+            scale = rng.choice([1e-6, 1.0, 1e3])
+            grads.flat[...] = rng.normal(scale=scale, size=grads.flat.size)
+            grads.flat[rng.integers(grads.flat.size, size=100)] = 0.0
+            grads_per_step.append(grads)
+        lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 1e-2
+        opt = Adam(
+            params.flat, learning_rate=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd
+        )
+        for grads in grads_per_step:
+            opt.step(params.flat, grads.flat)
+        reference_adam(reference, grads_per_step, lr, b1, b2, eps, wd)
+        for name in params:
+            np.testing.assert_array_equal(params[name], reference[name])
 
 
 class TestTraining:
@@ -253,6 +303,49 @@ class TestPrediction:
         assert tree == NaryTree("S", [NaryTree("VP", [Leaf("run", "VB")])])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteOutput:
+    def trained(self):
+        train_tuples, dev_tuples = small_corpus(60, 20)
+        return train(train_tuples, [], small_config(epochs=1)), dev_tuples
+
+    def test_overflowing_label_head_is_refused(self):
+        result, dev_tuples = self.trained()
+        params = result.params.copy()
+        # saturated hidden units times 1e308 weights: the word logits overflow
+        # while the split scores stay finite
+        params["word_head_W1"][...] = 0.0
+        params["word_head_b1"][...] = 1e3
+        params["word_head_W2"][...] = 1e308
+        sentences = [(t.words, t.tags) for t in dev_tuples]
+        for call in (
+            lambda: predict_trees(params, result.model_config, result.vocab, sentences),
+            lambda: predict_tree(params, result.model_config, result.vocab, *sentences[0]),
+        ):
+            with pytest.raises(NonFiniteError, match="non-finite model output"):
+                call()
+
+    def test_non_finite_padding_alone_is_not_an_error(self):
+        result, dev_tuples = self.trained()
+        params = result.params.copy()
+        # id 0, the unknown word, pads every batch: a NaN embedding makes the
+        # padded positions NaN, and sentences without unknown words finite
+        params["embed_word"][0] = np.nan
+        sentences = [
+            (t.words, t.tags)
+            for t in dev_tuples
+            if all(result.vocab.word_id(word) for word in t.words)
+        ]
+        assert len({len(words) for words, _ in sentences}) > 1
+        batched = predict_trees(params, result.model_config, result.vocab, sentences)
+        single = [
+            predict_tree(params, result.model_config, result.vocab, words, tags)
+            for words, tags in sentences
+        ]
+        assert batched == single
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         train_tuples, dev_tuples = small_corpus(60, 10)
@@ -268,6 +361,31 @@ class TestCheckpoint:
         a = predict_tree(result.params, result.model_config, result.vocab, tup.words, tup.tags)
         b = predict_tree(loaded.params, loaded.model_config, loaded.vocab, tup.words, tup.tags)
         assert a == b
+
+    def test_keeps_per_direction_names_and_packs_the_flat_layout(self, tmp_path):
+        train_tuples, dev_tuples = small_corpus(60, 10)
+        result = train(train_tuples, dev_tuples, small_config(epochs=1))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, result)
+        stored = json.loads(path.read_text())["params"]
+        assert len(stored) == 28
+        assert list(stored) == sorted(stored)
+        for prefix in ("lstm_word", "lstm_split"):
+            for k, direction in enumerate(("fwd", "bwd")):
+                for kind in ("Wx", "Wh", "b"):
+                    np.testing.assert_array_equal(
+                        stored[f"{prefix}_{direction}_{kind}"],
+                        result.params[f"{prefix}_{kind}"][k],
+                    )
+            assert f"{prefix}_Wx" not in stored
+        loaded = load_checkpoint(path)
+        assert loaded.params.shapes() == result.params.shapes()
+        np.testing.assert_array_equal(loaded.params.flat, result.params.flat)
+        for value in loaded.params.values():
+            assert np.shares_memory(value, loaded.params.flat)
+        again = tmp_path / "again.json"
+        save_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_non_checkpoint_files(self, tmp_path):
         path = tmp_path / "bogus.json"
