@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
+from .binarize import EMPTY_LABEL
 
 SHAPES = ("random", "left-chain", "right-chain")
 
@@ -44,7 +45,7 @@ def make_tuple(distances: list[float]) -> codec.DistanceTuple:
     return codec.DistanceTuple(
         words=tuple(f"w{i}" for i in range(n)),
         tags=("X",) * n,
-        unary_labels=("∅",) * n,
+        unary_labels=(EMPTY_LABEL,) * n,
         distances=tuple(distances),
         split_labels=("X",) * (n - 1),
     )

@@ -32,9 +32,6 @@ import numpy as np
 
 from .binarize import BinaryTree, Internal, Terminal
 
-ENGINES = ("scan", "rmq", "stack")
-
-
 @dataclass(frozen=True)
 class DistanceTuple:
     """The per-sentence encoding: words, tags, and word unary labels (one
@@ -271,6 +268,7 @@ def decode_stack(tup: DistanceTuple) -> BinaryTree:
 
 
 _DECODERS = {"scan": decode_scan, "rmq": decode_rmq, "stack": decode_stack}
+ENGINES = tuple(_DECODERS)
 
 
 def decoder_for(engine: str) -> Callable[[DistanceTuple], BinaryTree]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import Leaf, NaryTree, Tree
+from .trees import Leaf, NaryTree, leaves
 
 WORDS = {
     "DT": ["the", "a", "every", "some", "no"],
@@ -99,12 +99,6 @@ def _sentence(rng) -> NaryTree:
     return _clause(rng)
 
 
-def _leaf_count(tree: Tree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return sum(_leaf_count(child) for child in tree.children)
-
-
 def generate_trees(count: int, seed: int = 0, max_length: int = 20) -> list[NaryTree]:
     """``count`` trees, each at most ``max_length`` words, deterministic
     for a given seed (overlong samples are rejected and redrawn)."""
@@ -112,6 +106,6 @@ def generate_trees(count: int, seed: int = 0, max_length: int = 20) -> list[Nary
     trees = []
     while len(trees) < count:
         tree = _sentence(rng)
-        if _leaf_count(tree) <= max_length:
+        if len(leaves(tree)) <= max_length:
             trees.append(tree)
     return trees

@@ -43,17 +43,22 @@ def extract_spans(tree: Tree) -> Counter:
     Preterminals are not spans; a bare-leaf tree therefore has none.
     """
     spans: Counter = Counter()
-
-    def visit(node: Tree, start: int) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        width = 0
-        for child in node.children:
-            width += visit(child, start + width)
-        spans[(node.label, start, start + width)] += 1
-        return width
-
-    visit(tree, 0)
+    if isinstance(tree, Leaf):
+        return spans
+    position = 0  # leaves passed so far
+    # open nodes: (label, start, unvisited children)
+    stack = [(tree.label, 0, iter(tree.children))]
+    while stack:
+        label, start, children = stack[-1]
+        for child in children:
+            if isinstance(child, Leaf):
+                position += 1
+            else:
+                stack.append((child.label, position, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            spans[(label, start, position)] += 1
     return spans
 
 

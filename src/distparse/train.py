@@ -11,7 +11,7 @@ import numpy as np
 
 from . import model
 from .binarize import EMPTY_LABEL, Internal, debinarize
-from .codec import DistanceTuple, decode
+from .codec import ENGINES, DistanceTuple, decode
 from .scoring import score
 from .trees import Tree
 
@@ -83,6 +83,10 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; the fields are the keys of a ``--config`` file.
+    Rejects, with ``ValueError``, fewer than one epoch and an unknown loss
+    or decode engine."""
+
     epochs: int = 20
     seed: int = 0
     learning_rate: float = 1e-3
@@ -96,6 +100,19 @@ class TrainConfig:
     conv_channels: int = 32
     ff_hidden: int = 32
     decode_engine: str = "stack"
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.distance_loss not in model.LOSS_KINDS:
+            raise ValueError(
+                f"distance_loss must be one of {model.LOSS_KINDS}, "
+                f"got {self.distance_loss!r}"
+            )
+        if self.decode_engine not in ENGINES:
+            raise ValueError(
+                f"decode_engine must be one of {ENGINES}, got {self.decode_engine!r}"
+            )
 
 
 class NonFiniteError(ValueError):

@@ -137,6 +137,8 @@ def serialize_bracketed(tree: Tree) -> str:
 def strip_function_tag(label: str) -> str:
     """Drop functional annotation: everything from the first ``-`` or ``=``
     not at position 0 (keeps ``-LRB-`` and friends intact)."""
+    if "-" not in label and "=" not in label:  # most labels carry none
+        return label
     for i, ch in enumerate(label):
         if i > 0 and ch in "-=":
             return label[:i]
@@ -146,19 +148,29 @@ def strip_function_tag(label: str) -> str:
 def preprocess(tree: Tree) -> Tree | None:
     """Strip ``-NONE-`` subtrees and functional label annotations.
 
-    Internal nodes left childless by the removal are dropped recursively.
-    Returns ``None`` if nothing survives.
+    Internal nodes left childless by the removal are dropped in turn.
+    Returns ``None`` if nothing survives. Walks with an explicit stack, so
+    any depth works.
     """
     if isinstance(tree, Leaf):
         return None if tree.tag == "-NONE-" else Leaf(tree.word, tree.tag)
-    kept = []
-    for child in tree.children:
-        cleaned = preprocess(child)
-        if cleaned is not None:
-            kept.append(cleaned)
-    if not kept:
-        return None
-    return NaryTree(strip_function_tag(tree.label), kept)
+    cleaned: list[Tree] = []
+    # open nodes: (label, unvisited children, kept children, parent's kept)
+    stack = [(tree.label, iter(tree.children), [], cleaned)]
+    while stack:
+        label, children, kept, siblings = stack[-1]
+        for child in children:
+            if isinstance(child, Leaf):
+                if child.tag != "-NONE-":
+                    kept.append(Leaf(child.word, child.tag))
+            else:
+                stack.append((child.label, iter(child.children), [], kept))
+                break
+        else:
+            stack.pop()
+            if kept:
+                siblings.append(NaryTree(strip_function_tag(label), kept))
+    return cleaned[0] if cleaned else None
 
 
 def leaves(tree: Tree) -> list[Leaf]:

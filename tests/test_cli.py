@@ -1,14 +1,24 @@
 import json
 import warnings
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 from distparse import pcfg
 from distparse.cli import main
-from distparse.trees import parse_bracketed, preprocess, serialize_bracketed, write_treebank
+from distparse.train import EpochMetrics, TrainConfig
+from distparse.trees import (
+    leaves,
+    parse_bracketed,
+    preprocess,
+    serialize_bracketed,
+    write_treebank,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
+# a model small enough to train on anything in a test
+SMALL_MODEL = "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
 
 
 @pytest.fixture
@@ -75,13 +85,42 @@ class TestEncodeDecode:
 
     def test_trees_emptied_by_preprocessing_are_skipped(self, tmp_path, capsys):
         src = tmp_path / "traces.mrg"
-        src.write_text("(S (NP (-NONE- *)))\n(S (NN dog))\n")
+        src.write_text(
+            "(S (NP (-NONE- *)))\n(S (NN dog))\n"
+            "(S (NP-SBJ (NN cat)) (VP (VBZ sees) (NP (-NONE- *T*))))\n"
+        )
         jsonl = tmp_path / "traces.jsonl"
         assert main(["encode", str(src), "--out", str(jsonl)]) == 0
-        assert len(jsonl.read_text().splitlines()) == 1
+        assert len(jsonl.read_text().splitlines()) == 2
         assert "1 trees empty after preprocessing" in capsys.readouterr().err
         sidecar = json.loads((tmp_path / "traces.jsonl.run.json").read_text())
         assert sidecar["skipped_empty"] == 1
+
+        assert main(["roundtrip", str(src)]) == 0
+        assert "roundtrip: 2 trees, 0 mismatches" in capsys.readouterr().out
+
+        decoded = tmp_path / "traces.out.mrg"
+        assert main(["decode", str(jsonl), "--out", str(decoded)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["score", str(src), str(decoded), "--json", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["sentences"] == 2
+        assert payload["labeled"]["f1"] == payload["unlabeled"]["f1"] == 100.0
+
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        ckpt = tmp_path / "model.json"
+        argv = ["train", "--train", str(src), "--epochs", "1", "--config", str(config)]
+        assert main(argv + ["--out", str(ckpt)]) == 0
+        metadata = json.loads(ckpt.read_text())["metadata"]
+        assert metadata["skipped_empty"] == {"train": 1, "dev": 0}
+        pred = tmp_path / "pred.mrg"
+        assert main(["predict", str(src), "--model", str(ckpt), "--out", str(pred)]) == 0
+        predicted = parse_bracketed(pred.read_text())
+        assert [[leaf.word for leaf in leaves(t)] for t in predicted] == [
+            ["dog"],
+            ["cat", "sees"],
+        ]
 
     def test_sidecar_metadata_written(self, tmp_path):
         jsonl = tmp_path / "sample.jsonl"
@@ -148,6 +187,41 @@ class TestEncodeDecode:
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["encode", "/nonexistent/path.mrg"]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+
+class TestDeepTree:
+    def test_every_command_handles_a_1500_word_left_branching_tree(
+        self, tmp_path, capsys
+    ):
+        text = "(NN w0)"
+        for i in range(1, 1500):
+            text = f"(S {text} (NN w{i}))"
+        src = tmp_path / "deep.mrg"
+        src.write_text(text + "\n")
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        jsonl, decoded = tmp_path / "deep.jsonl", tmp_path / "deep.out.mrg"
+        report, ckpt = tmp_path / "report.json", tmp_path / "model.json"
+        pred = tmp_path / "pred.mrg"
+        commands = [
+            ["encode", str(src), "--out", str(jsonl)],
+            ["decode", str(jsonl), "--out", str(decoded)],
+            ["roundtrip", str(src)],
+            ["score", str(src), str(src), "--json", "--out", str(report)],
+            ["train", "--train", str(src), "--dev", str(src), "--epochs", "1",
+             "--loss", "mse", "--config", str(config), "--out", str(ckpt)],
+            ["predict", str(src), "--model", str(ckpt), "--out", str(pred)],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, argv
+            if argv[0] == "roundtrip":
+                assert "1 trees, 0 mismatches" in captured.out
+        assert decoded.read_text() == text + "\n"
+        assert json.loads(report.read_text())["labeled"]["f1"] == 100.0
+        (tree,) = parse_bracketed(pred.read_text())
+        assert [leaf.word for leaf in leaves(tree)] == [f"w{i}" for i in range(1500)]
 
 
 class TestRoundtripCommand:
@@ -273,6 +347,62 @@ class TestTrainPredictScore:
             ]
         ) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            ("epochs = 0\n", []),
+            ("epochs = -2\n", []),
+            ("", ["--epochs", "0"]),
+            ("distance_loss = foo\n", []),
+            ("decode_engine = foo\n", []),
+        ],
+    )
+    def test_invalid_config_value_rejected(
+        self, tmp_path, mini_treebank, capsys, lines, flags
+    ):
+        config = tmp_path / "bad.cfg"
+        config.write_text(lines)
+        ckpt = tmp_path / "m.json"
+        argv = ["train", "--train", str(mini_treebank), "--config", str(config)]
+        assert main(argv + flags + ["--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert not ckpt.exists()
+
+    def test_config_file_may_set_every_train_config_field(
+        self, tmp_path, mini_treebank
+    ):
+        config = tmp_path / "all.cfg"
+        config.write_text(
+            "".join(f"{key} = {value}\n" for key, value in asdict(TrainConfig()).items())
+        )
+        ckpt = tmp_path / "model.json"
+        flags = ["--epochs", "1", "--seed", "3", "--loss", "mse", "--engine", "rmq"]
+        argv = ["train", "--train", str(mini_treebank), "--config", str(config)]
+        assert main(argv + flags + ["--out", str(ckpt)]) == 0
+        recorded = json.loads(ckpt.read_text())["metadata"]["train_config"]
+        expected = replace(
+            TrainConfig(), epochs=1, seed=3, distance_loss="mse", decode_engine="rmq"
+        )
+        assert recorded == asdict(expected)
+
+    def test_metrics_lines_hold_the_epoch_metrics_fields(self, tmp_path, mini_treebank):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        metrics = tmp_path / "metrics.jsonl"
+        argv = ["train", "--train", str(mini_treebank), "--dev", str(mini_treebank)]
+        argv += ["--epochs", "2", "--config", str(config)]
+        argv += ["--out", str(tmp_path / "m.json"), "--metrics", str(metrics)]
+        assert main(argv) == 0
+        header, *epochs = metrics.read_text().splitlines()
+        assert list(json.loads(header)) == ["run"]
+        assert len(epochs) == 2
+        names = [field.name for field in fields(EpochMetrics)]
+        for number, line in enumerate(epochs, start=1):
+            record = json.loads(line)
+            assert list(record) == names
+            assert record["epoch"] == number
 
     def test_score_leaf_mismatch_fails(self, tmp_path, capsys):
         a = tmp_path / "a.mrg"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from distparse.scoring import (
     label_accuracy,
     score,
 )
-from distparse.trees import parse_bracketed
+from distparse.trees import Leaf, NaryTree, parse_bracketed
 from helpers import random_nary_tree
 
 
@@ -48,6 +50,13 @@ class TestExtractSpans:
                     internal += 1
                     work.extend(node.children)
             assert sum(extract_spans(tree).values()) == internal
+
+    def test_deep_tree_does_not_recurse(self):
+        tree = Leaf("w0", "NN")
+        for i in range(1, 5000):
+            tree = NaryTree("S", [tree, Leaf(f"w{i}", "NN")])
+        spans = extract_spans(tree)
+        assert spans == Counter({("S", 0, end): 1 for end in range(2, 5001)})
 
 
 class TestScore:

@@ -177,6 +177,20 @@ class TestTraining:
         with pytest.raises(ValueError):
             train([], [], small_config())
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"epochs": 0},
+            {"epochs": -1},
+            {"distance_loss": "hinge"},
+            {"decode_engine": "warp"},
+        ],
+    )
+    def test_config_rejects_values_training_cannot_use(self, bad):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
+            small_config(**bad)
+
 
 class TestPrediction:
     def test_output_leaves_match_input(self):

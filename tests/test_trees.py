@@ -112,3 +112,16 @@ class TestPreprocess:
         )
         cleaned = preprocess(tree)
         assert [leaf.word for leaf in leaves(cleaned)] == ["the", "cat", "sits"]
+
+    def test_deep_tree_does_not_recurse(self):
+        # 5000 nested nodes, a trace at the bottom, a function tag on each
+        tree = NaryTree("NP-SBJ", [Leaf("*", "-NONE-"), Leaf("w", "NN")])
+        for _ in range(4999):
+            tree = NaryTree("S-1", [NaryTree("NP", [Leaf("*", "-NONE-")]), tree])
+        cleaned = preprocess(tree)
+        depth = 0
+        while isinstance(cleaned, NaryTree):
+            assert cleaned.label == ("S" if depth < 4999 else "NP")
+            (cleaned,) = cleaned.children
+            depth += 1
+        assert depth == 5000 and cleaned == Leaf("w", "NN")
