@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 import warnings
@@ -377,6 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    # distparse builds no reference cycles, so rescanning its many tree
+    # objects only costs time; reference counting still frees them
+    gc.disable()
     try:
         return args.func(args)
     except CliError as exc:
@@ -385,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TreebankError, ValueError) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -462,7 +462,8 @@ def save_checkpoint(
         "metadata": metadata or {},
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        # dumps runs the C encoder; dump to a file runs the Python one
+        handle.write(json.dumps(payload))
         handle.write("\n")
 
 

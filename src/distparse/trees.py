@@ -40,14 +40,9 @@ class NaryTree:
 
 Tree = Union[NaryTree, Leaf]
 
-_TOKEN = re.compile(r"[()]|[^()\s]+")
-
-
-@dataclass(slots=True)
-class _Token:
-    """Parser-internal word token; never appears in returned trees."""
-
-    text: str
+# a whole preterminal ``(TAG word)`` first, then single tokens; anything
+# malformed falls through to the single tokens, which report it
+_TOKEN = re.compile(r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|[()]|[^()\s]+")
 
 
 def parse_bracketed(text: str) -> list[Tree]:
@@ -58,52 +53,48 @@ def parse_bracketed(text: str) -> list[Tree]:
     Raises :class:`TreebankError` with a byte offset on malformed input.
     """
     trees: list[Tree] = []
-    # Stack entries: [label-or-None, start offset, children].
+    # open nodes: [label-or-None, start offset, children, holds a token]
     stack: list[list] = []
-
-    def close_node(offset: int) -> None:
-        label, start, children = stack.pop()
-        node: Tree
-        if label is None:
-            if len(children) != 1:
-                raise TreebankError(
-                    f"unlabeled node with {len(children)} children", start
-                )
-            node = children[0]
-        elif not children:
-            raise TreebankError(f"node '{label}' has no children or token", start)
-        elif all(isinstance(c, _Token) for c in children):
-            if len(children) > 1:
-                raise TreebankError(
-                    f"preterminal '{label}' with multiple tokens", start
-                )
-            node = Leaf(word=children[0].text, tag=label)
-        elif any(isinstance(c, _Token) for c in children):
-            raise TreebankError(f"node '{label}' mixes tokens and subtrees", start)
-        else:
-            node = NaryTree(label, children)
-        if stack:
-            stack[-1][2].append(node)
-        else:
-            trees.append(node)
-
     for match in _TOKEN.finditer(text):
+        tag, word = match.groups()
+        if tag is not None:
+            (stack[-1][2] if stack else trees).append(Leaf(word, tag))
+            continue
         tok = match.group()
-        offset = match.start()
         if tok == "(":
-            stack.append([None, offset, []])
+            stack.append([None, match.start(), [], False])
         elif tok == ")":
             if not stack:
-                raise TreebankError("unbalanced ')'", offset)
-            close_node(offset)
+                raise TreebankError("unbalanced ')'", match.start())
+            label, start, children, holds_token = stack.pop()
+            node: Tree
+            if label is None:
+                if len(children) != 1:
+                    raise TreebankError(
+                        f"unlabeled node with {len(children)} children", start
+                    )
+                node = children[0]
+            elif not children:
+                raise TreebankError(f"node '{label}' has no children or token", start)
+            elif holds_token:
+                # a one-token preterminal never gets here: it matched whole
+                if all(isinstance(c, str) for c in children):
+                    raise TreebankError(
+                        f"preterminal '{label}' with multiple tokens", start
+                    )
+                raise TreebankError(f"node '{label}' mixes tokens and subtrees", start)
+            else:
+                node = NaryTree(label, children)
+            (stack[-1][2] if stack else trees).append(node)
         else:
             if not stack:
-                raise TreebankError(f"token '{tok}' outside any tree", offset)
+                raise TreebankError(f"token '{tok}' outside any tree", match.start())
             top = stack[-1]
             if top[0] is None and not top[2]:
                 top[0] = tok
             else:
-                top[2].append(_Token(tok))
+                top[2].append(tok)
+                top[3] = True
     if stack:
         raise TreebankError("unbalanced '(': input ended inside a tree", len(text))
     return trees
@@ -134,10 +125,16 @@ def serialize_bracketed(tree: Tree) -> str:
     return "".join(out)
 
 
+_BRACKET_LABEL = re.compile(r"-[^-=]+-")
+
+
 def strip_function_tag(label: str) -> str:
     """Drop functional annotation: everything from the first ``-`` or ``=``
-    not at position 0 (keeps ``-LRB-`` and friends intact)."""
+    not at position 0. A label of the form ``-X-`` with no ``-`` or ``=``
+    inside (``-LRB-``, ``-NONE-``) is kept whole."""
     if "-" not in label and "=" not in label:  # most labels carry none
+        return label
+    if _BRACKET_LABEL.fullmatch(label):
         return label
     for i, ch in enumerate(label):
         if i > 0 and ch in "-=":

@@ -16,6 +16,28 @@ LABELS = ("S", "NP", "VP", "PP", "ADJP", "SBAR", "X")
 TAGS = ("DT", "NN", "VBZ", "JJ", "IN", "PRP")
 UNARY_LABELS = (EMPTY_LABEL, "NP", "VP", "S+VP")
 
+# malformed bracketed text -> (the TreebankError message, its offset); one
+# or more cases per kind of error the reader reports
+MALFORMED_TREEBANKS = {
+    "(S (NN dog)))": ("unbalanced ')'", 12),
+    "(S (NP (NN dog)) ))": ("unbalanced ')'", 18),
+    "(NN dog))": ("unbalanced ')'", 8),
+    "stray (NP (NN dog))": ("token 'stray' outside any tree", 0),
+    "(NP (NN dog)) stray": ("token 'stray' outside any tree", 14),
+    "((NP (NN a)) (VP (VB b)))": ("unlabeled node with 2 children", 0),
+    "(S (NN dog)) ((NP (NN cat)) x)": ("unlabeled node with 2 children", 13),
+    "()": ("unlabeled node with 0 children", 0),
+    "(A)": ("node 'A' has no children or token", 0),
+    "(NP (DT a)) (A)": ("node 'A' has no children or token", 12),
+    "( word)": ("node 'word' has no children or token", 0),
+    "(S (NN dog) word)": ("node 'S' mixes tokens and subtrees", 0),
+    "(S word (NN dog))": ("node 'S' mixes tokens and subtrees", 0),
+    "(TAG one two)": ("preterminal 'TAG' with multiple tokens", 0),
+    "(NP (TAG one two))": ("preterminal 'TAG' with multiple tokens", 4),
+    "(S (NP (NN dog))": ("unbalanced '(': input ended inside a tree", 16),
+    "(NN dog": ("unbalanced '(': input ended inside a tree", 7),
+}
+
 
 def random_nary_tree(rng: np.random.Generator, n_leaves: int | None = None,
                      unary_prob: float = 0.25) -> NaryTree:

@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 from dataclasses import asdict, fields, replace
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from distparse import pcfg
+from distparse import cli, pcfg
 from distparse.cli import main
 from distparse.train import EpochMetrics, TrainConfig
 from distparse.trees import (
@@ -15,6 +16,7 @@ from distparse.trees import (
     serialize_bracketed,
     write_treebank,
 )
+from helpers import MALFORMED_TREEBANKS
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 # a model small enough to train on anything in a test
@@ -26,6 +28,17 @@ def mini_treebank(tmp_path):
     path = tmp_path / "mini.mrg"
     write_treebank(pcfg.generate_trees(40, seed=900), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("small_model")
+    corpus, config, ckpt = folder / "train.mrg", folder / "small.cfg", folder / "m.json"
+    write_treebank(pcfg.generate_trees(20, seed=901), corpus)
+    config.write_text(SMALL_MODEL)
+    argv = ["train", "--train", str(corpus), "--config", str(config)]
+    assert main(argv + ["--epochs", "1", "--out", str(ckpt)]) == 0
+    return ckpt
 
 
 def canonical(path):
@@ -130,13 +143,26 @@ class TestEncodeDecode:
         assert sidecar["trees"] == 25
         assert "version" in sidecar
 
-    def test_parse_error_reported_with_offset(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["encode", "predict", "score"])
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [pytest.param(text, *error, id=text) for text, error in MALFORMED_TREEBANKS.items()],
+    )
+    def test_malformed_treebank_fails_cleanly(
+        self, tmp_path, capsys, small_checkpoint, command, text, message, offset
+    ):
         bad = tmp_path / "bad.mrg"
-        bad.write_text("(S (NP (NN dog)")
-        assert main(["encode", str(bad)]) == 1
+        bad.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "encode": ["encode", str(bad)],
+            "predict": ["predict", str(bad), "--model", str(small_checkpoint)],
+            "score": ["score", str(SAMPLE), str(bad)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "offset" in err
+        assert err == f"error: parse: {bad}: {message} (at offset {offset})\n"
+        assert not out.exists()
 
     def test_malformed_jsonl_names_line(self, tmp_path, capsys):
         jsonl = tmp_path / "bad.jsonl"
@@ -531,6 +557,53 @@ class TestBench:
 
     def test_too_small_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "1"]) == 1
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector for the command and leaves it
+    as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_a_command_and_enabled_after(self, monkeypatch):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_encode", command)
+        gc.enable()
+        assert main(["encode", str(SAMPLE)]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_enabled_after_an_error_exit(self, capsys):
+        gc.enable()
+        assert main(["encode", "/nonexistent/path.mrg"]) == 1
+        assert capsys.readouterr().err.startswith("error: io:")
+        assert gc.isenabled()
+
+    def test_enabled_after_an_escaping_exception(self, monkeypatch):
+        def command(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_encode", command)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["encode", str(SAMPLE)])
+        assert gc.isenabled()
+
+    def test_stays_disabled_when_the_caller_disabled_it(self, tmp_path):
+        gc.disable()
+        assert main(["encode", str(SAMPLE), "--out", str(tmp_path / "s.jsonl")]) == 0
+        assert not gc.isenabled()
 
 
 class TestArgumentErrors:

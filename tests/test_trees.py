@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from distparse.trees import (
     parse_bracketed,
     preprocess,
     serialize_bracketed,
+    strip_function_tag,
 )
-from helpers import random_nary_tree
+from helpers import MALFORMED_TREEBANKS, random_nary_tree
 
 
 class TestParse:
@@ -38,25 +41,36 @@ class TestParse:
         assert tree == Leaf("dog", "NN")
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "(S (NP (NN dog))",  # missing close
-            "(S (NN dog)))",  # extra close
-            "(TAG one two)",  # multi-token preterminal
-            "(A)",  # no children
-            "((NP (NN a)) (VP (VB b)))",  # unlabeled with two children
-            "stray (NP (NN dog))",  # token outside a tree
-            "(S (NN dog) word)",  # mixes tokens and subtrees
-        ],
+        "text, message, offset",
+        [pytest.param(text, *error, id=text) for text, error in MALFORMED_TREEBANKS.items()],
     )
-    def test_malformed_input_raises(self, text):
-        with pytest.raises(TreebankError):
+    def test_malformed_input_raises(self, text, message, offset):
+        with pytest.raises(TreebankError) as info:
             parse_bracketed(text)
+        assert str(info.value) == f"{message} (at offset {offset})"
+        assert info.value.offset == offset
 
     def test_error_carries_offset(self):
         with pytest.raises(TreebankError) as info:
             parse_bracketed("(S (NP (NN dog)) ))")
         assert info.value.offset == 18
+
+    def test_any_spacing_and_outer_wrappers_parse_back(self):
+        rng = np.random.default_rng(202)
+        gaps = (" ", "  ", "\n", "\t", " \n\t")
+        for _ in range(300):
+            trees = [random_nary_tree(rng) for _ in range(int(rng.integers(1, 4)))]
+            tokens = []
+            for tree in trees:
+                own = re.findall(r"[()]|[^()\s]+", serialize_bracketed(tree))
+                tokens += ["(", *own, ")"] if rng.random() < 0.5 else own
+            text = gaps[rng.integers(len(gaps))] if rng.random() < 0.5 else ""
+            for before, token in zip([None, *tokens], tokens):
+                words_touch = before not in (None, "(", ")") and token not in ("(", ")")
+                if words_touch or rng.random() < 0.5:
+                    text += gaps[rng.integers(len(gaps))]
+                text += token
+            assert parse_bracketed(text) == trees, text
 
 
 class TestSerialize:
@@ -93,6 +107,29 @@ class TestPreprocess:
         (tree,) = parse_bracketed("(S (NP-SBJ-1 (NN dog)) (VP-PRD=2 (VBZ runs)))")
         cleaned = preprocess(tree)
         assert [c.label for c in cleaned.children] == ["NP", "VP"]
+
+    def test_bracket_labels_on_internal_nodes_kept(self):
+        text = "(S (-LRB- (-LRB- -LRB-) (NN x)))"
+        (tree,) = parse_bracketed(text)
+        assert serialize_bracketed(preprocess(tree)) == text
+
+    @pytest.mark.parametrize(
+        "label, stripped",
+        [
+            ("-LRB-", "-LRB-"),
+            ("-NONE-", "-NONE-"),
+            ("NP-SBJ-1", "NP"),
+            ("VP-PRD=2", "VP"),
+            ("NP=3", "NP"),
+            ("-LRB-1", "-LRB"),
+            ("-A-B-", "-A"),
+            ("--", "-"),
+            ("-", "-"),
+            ("NP", "NP"),
+        ],
+    )
+    def test_strip_function_tag(self, label, stripped):
+        assert strip_function_tag(label) == stripped
 
     def test_bracket_token_labels_kept(self):
         (tree,) = parse_bracketed("(NP (-LRB- -LRB-) (NN dog) (-RRB- -RRB-))")
