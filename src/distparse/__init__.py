@@ -23,7 +23,6 @@ from .codec import (
     SparseTable,
     decode,
     encode,
-    rank_signature,
 )
 from .trees import (
     Leaf,
@@ -50,7 +49,6 @@ __all__ = [
     "SparseTable",
     "decode",
     "encode",
-    "rank_signature",
     "Leaf",
     "NaryTree",
     "Tree",

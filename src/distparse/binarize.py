@@ -114,14 +114,6 @@ def binarize(tree: Tree) -> BinaryTree:
     return root
 
 
-def _expand_terminal(terminal: Terminal) -> Tree:
-    node: Tree = Leaf(terminal.word, terminal.tag)
-    if terminal.unary_label != EMPTY_LABEL:
-        for label in reversed(terminal.unary_label.split(CHAIN_SEPARATOR)):
-            node = NaryTree(label, [node])
-    return node
-
-
 def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
     labels = label.split(CHAIN_SEPARATOR)
     node = NaryTree(labels[-1], children)
@@ -136,30 +128,25 @@ def debinarize(tree: BinaryTree) -> Tree:
     empty-labeled (there is no parent to splice its children into)."""
     if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
         raise StructureError("root carries the empty label")
-    # Post-order fold. Each visited node leaves a list of n-ary trees on
-    # the results stack: one tree normally, its promoted children when the
-    # node is empty-labeled.
-    results: list[list[Tree]] = []
-    work: list[tuple] = [("visit", tree)]
+    found: list[Tree] = []
+    # Pre-order: each node appends itself to the child list it belongs to,
+    # and an empty-labeled node lends its own list to its children, which
+    # splices it out. The loop walks down each left spine while the right
+    # children wait on the stack, so a left subtree is appended whole
+    # before its right sibling.
+    work: list[tuple[BinaryTree, list[Tree]]] = [(tree, found)]
     while work:
-        action = work.pop()
-        if action[0] == "visit":
-            node = action[1]
-            if isinstance(node, Terminal):
-                results.append([_expand_terminal(node)])
-            else:
-                work.append(("combine", node.label))
-                work.append(("visit", node.right))
-                work.append(("visit", node.left))
+        node, siblings = work.pop()
+        while isinstance(node, Internal):
+            if node.label != EMPTY_LABEL:
+                children: list[Tree] = []
+                siblings.append(_expand_chain(node.label, children))
+                siblings = children
+            work.append((node.right, siblings))
+            node = node.left
+        leaf = Leaf(node.word, node.tag)
+        if node.unary_label == EMPTY_LABEL:
+            siblings.append(leaf)
         else:
-            label = action[1]
-            right = results.pop()
-            left = results.pop()
-            children = left + right
-            if label == EMPTY_LABEL:
-                results.append(children)
-            else:
-                results.append([_expand_chain(label, children)])
-    (trees,) = results
-    (root,) = trees
-    return root
+            siblings.append(_expand_chain(node.unary_label, [leaf]))
+    return found[0]

@@ -46,6 +46,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError("io", f"cannot read {path}: invalid UTF-8 at byte {exc.start}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -95,7 +97,7 @@ def _encode(tree: Tree) -> codec.DistanceTuple:
 
 def _words_and_tags(tree: Tree) -> tuple[tuple[str, ...], tuple[str, ...]]:
     found = leaves(tree)
-    return tuple(leaf.word for leaf in found), tuple(leaf.tag for leaf in found)
+    return tuple([leaf.word for leaf in found]), tuple([leaf.tag for leaf in found])
 
 
 def cmd_encode(args) -> int:
@@ -288,6 +290,8 @@ def cmd_bench(args) -> int:
     for engine in engines:
         if engine not in codec.ENGINES:
             raise CliError("bench", f"unknown engine {engine!r}")
+    if args.reps < 1:
+        raise CliError("bench", "--reps must be at least 1")
     seed = args.seed if args.seed is not None else 0
     try:
         rows = bench.run(

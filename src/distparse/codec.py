@@ -117,12 +117,6 @@ def encode(tree: BinaryTree) -> DistanceTuple:
     )
 
 
-def rank_signature(distances: Sequence[float]) -> tuple[int, ...]:
-    """Indices ordered by decreasing score, ties broken leftmost. Two score
-    vectors with equal signatures decode to identical tree shapes."""
-    return tuple(sorted(range(len(distances)), key=lambda i: (-distances[i], i)))
-
-
 class SparseTable:
     """Range-argmax over a fixed score vector: O(n log n) build, O(1) query.
 

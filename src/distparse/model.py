@@ -90,22 +90,36 @@ class FlatParams(dict):
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], flat=None):
         super().__init__()
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        layout = []
         offset = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            super().__setitem__(name, self.flat[offset : offset + size].reshape(shape))
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            layout.append((name, slice(offset, offset + size), shape))
             offset += size
+        self._fill(tuple(layout), np.zeros(offset) if flat is None else flat)
+
+    def _fill(self, layout: tuple, flat: np.ndarray) -> None:
+        # layout: (name, slice of the flat vector, shape) per array
+        self._layout = layout
+        self.flat = flat
+        for name, part, shape in layout:
+            super().__setitem__(name, flat[part].reshape(shape))
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: value.shape for name, value in self.items()}
+        return {name: shape for name, _, shape in self._layout}
+
+    def _with_flat(self, flat: np.ndarray) -> "FlatParams":
+        """A buffer with this layout over ``flat``, reusing the layout."""
+        other = dict.__new__(FlatParams)
+        other._fill(self._layout, flat)
+        return other
 
     def empty_like(self) -> "FlatParams":
         """A buffer with the same layout and uninitialized values."""
-        return FlatParams(self.shapes(), np.empty_like(self.flat))
+        return self._with_flat(np.empty_like(self.flat))
 
     def copy(self) -> "FlatParams":
-        return FlatParams(self.shapes(), self.flat.copy())
+        return self._with_flat(self.flat.copy())
 
 
 _HEADS = ("word_head", "dist_head", "split_head")

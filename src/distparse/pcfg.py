@@ -40,10 +40,6 @@ WORDS = {
 }
 
 
-def vocabulary_size() -> int:
-    return sum(len(words) for words in WORDS.values())
-
-
 def _leaf(rng: np.random.Generator, tag: str) -> Leaf:
     words = WORDS[tag]
     return Leaf(words[rng.integers(len(words))], tag)

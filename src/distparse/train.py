@@ -322,11 +322,12 @@ def predict_scores(
     probabilities are not all finite (parameters large enough to overflow),
     since no tree decoded from them would mean anything.
     """
+    word_index, tag_index = vocab._word_index, vocab._tag_index
     results = model.forward_batch(
         params,
         model_config,
-        [[vocab.word_id(w) for w in words] for words, _ in sentences],
-        [[vocab.tag_id(t) for t in tags] for _, tags in sentences],
+        [[word_index.get(w, 0) for w in words] for words, _ in sentences],
+        [[tag_index.get(t, 0) for t in tags] for _, tags in sentences],
     )
     if not results:
         return []
@@ -334,25 +335,30 @@ def predict_scores(
     # rows include padding, so only a failure is checked sentence by sentence
     batch_probs = (results[0].cache["word_probs"], results[0].cache["split_probs"])
     probs_finite = all(np.isfinite(probs).all() for probs in batch_probs)
+    # the argmax labels of every padded row at once, as Python ints
+    batch, steps = results[0].cache["words"].shape
+    word_label_ids = batch_probs[0].argmax(axis=1).reshape(batch, steps).tolist()
+    split_label_ids = batch_probs[1].argmax(axis=1).reshape(batch, steps - 1).tolist()
+    word_labels = vocab.word_labels.__getitem__
+    split_labels = vocab.split_labels.__getitem__
     scored = []
-    for (words, tags), result in zip(sentences, results):
+    for (words, tags), result, word_row, split_row in zip(
+        sentences, results, word_label_ids, split_label_ids
+    ):
         if not (
             probs_finite
             or np.isfinite(result.word_probs).all()
             and np.isfinite(result.split_probs).all()
         ):
             raise NonFiniteError(_non_finite_output(words))
+        n = len(words)
         try:
             tup = DistanceTuple(
                 words=tuple(words),
                 tags=tuple(tags),
-                unary_labels=tuple(
-                    vocab.word_labels[i] for i in result.word_probs.argmax(axis=1)
-                ),
+                unary_labels=tuple(map(word_labels, word_row[:n])),
                 distances=tuple(result.distances.tolist()),
-                split_labels=tuple(
-                    vocab.split_labels[i] for i in result.split_probs.argmax(axis=1)
-                ),
+                split_labels=tuple(map(split_labels, split_row[: n - 1])),
             )
         except ValueError:  # the lengths agree, so a score is not finite
             raise NonFiniteError(_non_finite_output(words)) from None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 
 class TreebankError(ValueError):
@@ -102,27 +102,23 @@ def parse_bracketed(text: str) -> list[Tree]:
 
 def serialize_bracketed(tree: Tree) -> str:
     """Render a tree as a canonical single-line bracketing."""
-    parts: list[str] = []
-    # (node | closing-string) work stack, right-to-left
-    work: list[object] = [tree]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Leaf):
-            parts.append(f"({item.tag} {item.word})")
+    if isinstance(tree, Leaf):
+        return f"({tree.tag} {tree.word})"
+    parts = [f"({tree.label}"]
+    # one iterator over the unvisited children of each open node
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:
+            if isinstance(child, Leaf):
+                parts.append(f" ({child.tag} {child.word})")
+            else:
+                parts.append(f" ({child.label}")
+                stack.append(iter(child.children))
+                break
         else:
-            assert isinstance(item, NaryTree)
-            parts.append(f"({item.label}")
-            work.append(")")
-            for child in reversed(item.children):
-                work.append(child)
-    out: list[str] = []
-    for i, piece in enumerate(parts):
-        if i and piece != ")":
-            out.append(" ")
-        out.append(piece)
-    return "".join(out)
+            stack.pop()
+            parts.append(")")
+    return "".join(parts)
 
 
 _BRACKET_LABEL = re.compile(r"-[^-=]+-")
@@ -172,20 +168,17 @@ def preprocess(tree: Tree) -> Tree | None:
 
 def leaves(tree: Tree) -> list[Leaf]:
     """All leaves in sentence order."""
+    if isinstance(tree, Leaf):
+        return [tree]
     found: list[Leaf] = []
-    work = [tree]
-    while work:
-        node = work.pop()
-        if isinstance(node, Leaf):
-            found.append(node)
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:
+            if isinstance(child, Leaf):
+                found.append(child)
+            else:
+                stack.append(iter(child.children))
+                break
         else:
-            work.extend(reversed(node.children))
+            stack.pop()
     return found
-
-
-def write_treebank(trees: Iterator[Tree] | list[Tree], path) -> None:
-    """Write trees one per line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for tree in trees:
-            handle.write(serialize_bracketed(tree))
-            handle.write("\n")

@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from distparse.binarize import EMPTY_LABEL, Internal, Terminal
+from distparse.binarize import (
+    CHAIN_SEPARATOR,
+    EMPTY_LABEL,
+    Internal,
+    StructureError,
+    Terminal,
+)
 from distparse.codec import DistanceTuple
-from distparse.trees import Leaf, NaryTree
+from distparse.trees import Leaf, NaryTree, serialize_bracketed
 
 LABELS = ("S", "NP", "VP", "PP", "ADJP", "SBAR", "X")
 TAGS = ("DT", "NN", "VBZ", "JJ", "IN", "PRP")
@@ -190,3 +196,99 @@ def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         x[idx] = orig
         grad[idx] = (up - down) / (2.0 * eps)
     return grad
+
+
+def rank_signature(distances) -> tuple[int, ...]:
+    """Indices ordered by decreasing score, ties broken leftmost. Two score
+    vectors with equal signatures decode to identical tree shapes."""
+    return tuple(sorted(range(len(distances)), key=lambda i: (-distances[i], i)))
+
+
+def write_treebank(trees, path) -> None:
+    """Write trees one per line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for tree in trees:
+            handle.write(serialize_bracketed(tree) + "\n")
+
+
+# Reference implementations of the read-side tree walks: the post-order
+# fold and the two-pass serializer that the single-pass versions replaced.
+# The property tests require the library's versions to equal these.
+
+
+def reference_debinarize(tree):
+    if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
+        raise StructureError("root carries the empty label")
+
+    def expand_chain(label, children):
+        labels = label.split(CHAIN_SEPARATOR)
+        node = NaryTree(labels[-1], children)
+        for lab in reversed(labels[:-1]):
+            node = NaryTree(lab, [node])
+        return node
+
+    def expand_terminal(terminal):
+        node = Leaf(terminal.word, terminal.tag)
+        if terminal.unary_label != EMPTY_LABEL:
+            for label in reversed(terminal.unary_label.split(CHAIN_SEPARATOR)):
+                node = NaryTree(label, [node])
+        return node
+
+    results = []
+    work = [("visit", tree)]
+    while work:
+        action = work.pop()
+        if action[0] == "visit":
+            node = action[1]
+            if isinstance(node, Terminal):
+                results.append([expand_terminal(node)])
+            else:
+                work.append(("combine", node.label))
+                work.append(("visit", node.right))
+                work.append(("visit", node.left))
+        else:
+            label = action[1]
+            right = results.pop()
+            left = results.pop()
+            children = left + right
+            if label == EMPTY_LABEL:
+                results.append(children)
+            else:
+                results.append([expand_chain(label, children)])
+    (trees,) = results
+    (root,) = trees
+    return root
+
+
+def reference_serialize(tree) -> str:
+    parts = []
+    work = [tree]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"({item.tag} {item.word})")
+        else:
+            parts.append(f"({item.label}")
+            work.append(")")
+            for child in reversed(item.children):
+                work.append(child)
+    out = []
+    for i, piece in enumerate(parts):
+        if i and piece != ")":
+            out.append(" ")
+        out.append(piece)
+    return "".join(out)
+
+
+def reference_leaves(tree) -> list:
+    found = []
+    work = [tree]
+    while work:
+        node = work.pop()
+        if isinstance(node, Leaf):
+            found.append(node)
+        else:
+            work.extend(reversed(node.children))
+    return found

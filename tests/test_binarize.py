@@ -1,3 +1,5 @@
+import time
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,21 @@ from distparse.binarize import (
     binarize,
     debinarize,
 )
-from distparse.trees import Leaf, NaryTree, leaves, parse_bracketed, preprocess
-from helpers import random_binary_tree, random_nary_tree
+from distparse.trees import (
+    Leaf,
+    NaryTree,
+    leaves,
+    parse_bracketed,
+    preprocess,
+    serialize_bracketed,
+)
+from helpers import (
+    random_binary_tree,
+    random_nary_tree,
+    reference_debinarize,
+    reference_leaves,
+    reference_serialize,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 
@@ -127,3 +142,91 @@ class TestDebinarize:
                 tree.label = "S"
             result = debinarize(tree)
             assert result is not None
+
+    def test_flat_40k_constituent_roundtrips_in_linear_time(self):
+        # one constituent with 40k children: the binary form is a 40k-deep
+        # right comb of empty-labeled nodes that debinarize splices back
+        tree = NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(40_000)])
+        start = time.perf_counter()
+        restored = debinarize(binarize(tree))
+        elapsed = time.perf_counter() - start
+        assert restored == tree
+        assert elapsed < 1.0, f"round trip took {elapsed:.2f} s"
+
+
+def deep_binary_tree(depth: int) -> Internal:
+    """A left comb ``depth`` nodes deep whose labels cycle through a plain
+    label, the empty label and a collapsed chain, over chained terminals."""
+    labels = cycle(("S", EMPTY_LABEL, "S+VP", "NP"))
+    unary = cycle((EMPTY_LABEL, "NP", "S+VP"))
+    node = Terminal("w0", "NN", next(unary))
+    for i in range(1, depth + 1):
+        node = Internal(next(labels), node, Terminal(f"w{i}", "NN", next(unary)))
+    node.label = "S"
+    return node
+
+
+def deep_nary_tree(depth: int) -> NaryTree:
+    """Alternately a unary node and a node with a leaf on each side of its
+    subtree, ``depth`` levels deep."""
+    node: NaryTree | Leaf = Leaf("w", "NN")
+    for i in range(depth):
+        if i % 2:
+            node = NaryTree("NP", [Leaf(f"a{i}", "DT"), node, Leaf(f"b{i}", "NN")])
+        else:
+            node = NaryTree("VP", [node])
+    return node
+
+
+class TestReadWalksMatchReference:
+    """``debinarize``, ``serialize_bracketed`` and ``leaves`` against the
+    implementations they replaced, kept in ``helpers`` as references.
+    Trees are compared through the reference serializer, which renders the
+    whole structure and, unlike ``==``, does not recurse."""
+
+    @staticmethod
+    def binary_cases() -> list:
+        rng = np.random.default_rng(606)
+        cases = [Terminal("w", "NN"), Terminal("w", "NN", "S+VP")]
+        for _ in range(300):
+            cases.append(binarize(random_nary_tree(rng, unary_prob=0.4)))
+            tree = random_binary_tree(rng, int(rng.integers(1, 30)))
+            if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
+                tree.label = "S"
+            cases.append(tree)
+        wide = NaryTree(
+            "S",
+            [
+                NaryTree("NP", [Leaf(f"d{i}", "DT"), Leaf(f"n{i}", "NN")])
+                if i % 7 == 0
+                else Leaf(f"w{i}", "NN")
+                for i in range(500)
+            ],
+        )
+        cases.append(binarize(wide))
+        cases.append(deep_binary_tree(5000))
+        return cases
+
+    @classmethod
+    def nary_cases(cls) -> list:
+        cases = [reference_debinarize(tree) for tree in cls.binary_cases()]
+        cases += [Leaf("w", "NN"), NaryTree("S", [Leaf("w", "NN")])]
+        cases.append(NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(5000)]))
+        cases.append(deep_nary_tree(5000))
+        return cases
+
+    def test_debinarize(self):
+        for tree in self.binary_cases():
+            assert reference_serialize(debinarize(tree)) == reference_serialize(
+                reference_debinarize(tree)
+            )
+
+    def test_serialize_bracketed(self):
+        for tree in self.nary_cases():
+            assert serialize_bracketed(tree) == reference_serialize(tree)
+
+    def test_leaves(self):
+        for tree in self.nary_cases():
+            found, expected = leaves(tree), reference_leaves(tree)
+            assert len(found) == len(expected)
+            assert all(a is b for a, b in zip(found, expected))

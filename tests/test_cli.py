@@ -14,9 +14,8 @@ from distparse.trees import (
     parse_bracketed,
     preprocess,
     serialize_bracketed,
-    write_treebank,
 )
-from helpers import MALFORMED_TREEBANKS
+from helpers import MALFORMED_TREEBANKS, write_treebank
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 # a model small enough to train on anything in a test
@@ -213,6 +212,27 @@ class TestEncodeDecode:
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["encode", "/nonexistent/path.mrg"]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+    @pytest.mark.parametrize("command", ["encode", "decode", "predict", "score", "train"])
+    def test_invalid_utf8_names_the_path_and_offset(
+        self, tmp_path, capsys, small_checkpoint, command
+    ):
+        bad = tmp_path / "bad.txt"
+        prefix = SAMPLE.read_bytes()
+        bad.write_bytes(prefix + b"(NN caf\xff)\n")
+        out = tmp_path / "out"
+        argv = {
+            "encode": ["encode", str(bad)],
+            "decode": ["decode", str(bad)],
+            "predict": ["predict", str(bad), "--model", str(small_checkpoint)],
+            "score": ["score", str(SAMPLE), str(bad)],
+            "train": ["train", "--train", str(SAMPLE), "--config", str(bad)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        offset = len(prefix) + len(b"(NN caf")
+        assert err == f"error: io: cannot read {bad}: invalid UTF-8 at byte {offset}\n"
+        assert not out.exists()
 
 
 class TestDeepTree:
@@ -557,6 +577,11 @@ class TestBench:
 
     def test_too_small_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "1"]) == 1
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_fewer_than_one_repetition_rejected(self, capsys, reps):
+        assert main(["bench", "--sizes", "10", "--reps", reps]) == 1
+        assert capsys.readouterr().err == "error: bench: --reps must be at least 1\n"
 
 
 class TestCollector:

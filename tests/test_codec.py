@@ -14,7 +14,6 @@ from distparse.codec import (
     decode_stack,
     encode,
     from_json_line,
-    rank_signature,
     to_json_line,
 )
 from helpers import (
@@ -23,6 +22,7 @@ from helpers import (
     monotone_transform,
     random_binary_tree,
     random_tuple,
+    rank_signature,
 )
 
 

@@ -21,7 +21,7 @@ class TestGenerator:
             assert 1 <= len(leaves(tree)) <= 20
 
     def test_vocabulary_scale(self):
-        assert 80 <= pcfg.vocabulary_size() <= 120
+        assert 80 <= sum(len(words) for words in pcfg.WORDS.values()) <= 120
 
     def test_trees_roundtrip_through_the_pipeline(self):
         for tree in pcfg.generate_trees(500, seed=6):

@@ -317,6 +317,70 @@ class TestPrediction:
         assert tree == NaryTree("S", [NaryTree("VP", [Leaf("run", "VB")])])
 
 
+class TestBatchLabels:
+    """``predict_scores`` reads the labels of a whole padded batch with one
+    argmax per head; each sentence's labels must equal the argmax of its own
+    one-sentence :func:`model.forward`."""
+
+    def trained(self):
+        train_tuples, dev_tuples = small_corpus(60, 20)
+        return train(train_tuples, [], small_config(epochs=1)), dev_tuples
+
+    def assert_labels_match_forward(self, params, result, sentences):
+        vocab = result.vocab
+        scored = predict_scores(params, result.model_config, vocab, sentences)
+        assert len(scored) == len(sentences)
+        for (words, tags), (tup, _, _) in zip(sentences, scored):
+            single = model.forward(
+                params,
+                result.model_config,
+                [vocab.word_id(w) for w in words],
+                [vocab.tag_id(t) for t in tags],
+            )
+            assert tup.unary_labels == tuple(
+                vocab.word_labels[i] for i in single.word_probs.argmax(axis=1)
+            )
+            assert tup.split_labels == tuple(
+                vocab.split_labels[i] for i in single.split_probs.argmax(axis=1)
+            )
+        return scored
+
+    def test_ragged_batch(self):
+        result, dev_tuples = self.trained()
+        # unsorted lengths, 1-word sentences among them
+        sentences = [(t.words, t.tags) for t in dev_tuples]
+        sentences += [(t.words[:1], t.tags[:1]) for t in dev_tuples[:5]]
+        sentences = sentences[::3] + sentences[1::3] + sentences[2::3]
+        assert len({len(words) for words, _ in sentences}) > 3
+        # random weights, so that the labels vary from position to position
+        params = model.init_params(result.model_config, np.random.default_rng(3))
+        scored = self.assert_labels_match_forward(params, result, sentences)
+        assert len({label for tup, _, _ in scored for label in tup.split_labels}) > 1
+        assert len({label for tup, _, _ in scored for label in tup.unary_labels}) > 1
+
+    def test_batch_of_one_word_sentences(self):
+        # no split column at all in the padded batch
+        result, dev_tuples = self.trained()
+        sentences = [(t.words[:1], t.tags[:1]) for t in dev_tuples]
+        scored = self.assert_labels_match_forward(result.params, result, sentences)
+        assert all(tup.split_labels == () for tup, _, _ in scored)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_only_in_padding(self):
+        result, dev_tuples = self.trained()
+        params = result.params.copy()
+        # id 0, the unknown word, pads every batch: a NaN embedding makes the
+        # padded rows NaN while sentences without unknown words stay finite
+        params["embed_word"][0] = np.nan
+        sentences = [
+            (t.words, t.tags)
+            for t in dev_tuples
+            if all(result.vocab.word_id(word) for word in t.words)
+        ]
+        assert len({len(words) for words, _ in sentences}) > 1
+        self.assert_labels_match_forward(params, result, sentences)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteOutput:
