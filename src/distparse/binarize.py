@@ -81,41 +81,49 @@ def binarize(tree: Tree) -> BinaryTree:
 
     Nodes with more than two children are split after their first child,
     repeatedly; every introduced node gets the empty label and the original
-    label stays on top. Raises :class:`LabelError` if a label cannot be
-    encoded reversibly.
+    label stays on top. Built top-down, in pre-order, left to right; raises
+    :class:`LabelError` for the first label that cannot be encoded
+    reversibly.
     """
-    results: list[BinaryTree] = []
-    # ("visit", tree) expands a node; ("combine", label, k) folds the top k
-    # results into one binary constituent.
-    work: list[tuple] = [("visit", tree)]
+    holder = Internal(EMPTY_LABEL, None, None)
+    # (n-ary subtree, binary parent, fills the parent's left slot)
+    work: list[tuple[Tree, Internal, bool]] = [(tree, holder, True)]
     while work:
-        action = work.pop()
-        if action[0] == "visit":
-            node = action[1]
-            if isinstance(node, Leaf):
-                results.append(Terminal(node.word, node.tag))
-                continue
+        node, parent, is_left = work.pop()
+        if isinstance(node, Leaf):
+            binary: BinaryTree = Terminal(node.word, node.tag)
+        else:
             chain, bottom = _collapse_chain(node)
             if isinstance(bottom, Leaf):
-                results.append(Terminal(bottom.word, bottom.tag, chain))
+                binary = Terminal(bottom.word, bottom.tag, chain)
             else:
-                work.append(("combine", chain, len(bottom.children)))
-                for child in reversed(bottom.children):
-                    work.append(("visit", child))
+                # the labeled node over a right comb of empty-labeled ones,
+                # each child queued for the slot it fills
+                children = bottom.children
+                binary = slot = Internal(chain, None, None)
+                queued = [(children[0], slot, True)]
+                for child in children[1:-1]:
+                    slot.right = Internal(EMPTY_LABEL, None, None)
+                    slot = slot.right
+                    queued.append((child, slot, True))
+                queued.append((children[-1], slot, False))
+                queued.reverse()  # so the first child comes off first
+                work += queued
+        if is_left:
+            parent.left = binary
         else:
-            _, label, count = action
-            children = results[-count:]
-            del results[-count:]
-            right = children[-1]
-            for child in reversed(children[1:-1]):
-                right = Internal(EMPTY_LABEL, child, right)
-            results.append(Internal(label, children[0], right))
-    (root,) = results
-    return root
+            parent.right = binary
+    return holder.left
+
+
+def split_chain(label: str) -> list[str]:
+    """The labels of a collapsed unary chain, top first. Raises
+    :class:`LabelError` if one is not a label :func:`binarize` accepts."""
+    return [_check_label(part) for part in label.split(CHAIN_SEPARATOR)]
 
 
 def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
-    labels = label.split(CHAIN_SEPARATOR)
+    labels = split_chain(label)
     node = NaryTree(labels[-1], children)
     for lab in reversed(labels[:-1]):
         node = NaryTree(lab, [node])
@@ -125,7 +133,8 @@ def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
 def debinarize(tree: BinaryTree) -> Tree:
     """Invert :func:`binarize`: splice out empty-labeled nodes and expand
     collapsed chains. Raises :class:`StructureError` if the root itself is
-    empty-labeled (there is no parent to splice its children into)."""
+    empty-labeled (there is no parent to splice its children into), and
+    :class:`LabelError` for a chain label that :func:`binarize` rejects."""
     if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
         raise StructureError("root carries the empty label")
     found: list[Tree] = []

@@ -113,23 +113,16 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str) -> list[codec.DistanceTuple]:
-    tuples = []
-    for number, line in enumerate(_read_text(path).splitlines(), start=1):
+def cmd_decode(args) -> int:
+    lines = []
+    for number, line in enumerate(_read_text(args.input).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            tuples.append(codec.from_json_line(line))
+            tup = codec.from_json_line(line)
+            tree = debinarize(codec.decode(tup, args.engine))
         except (ValueError, TypeError) as exc:
-            raise CliError("decode", f"{path}: line {number}: {exc}")
-    return tuples
-
-
-def cmd_decode(args) -> int:
-    tuples = _read_jsonl(args.input)
-    lines = []
-    for tup in tuples:
-        tree = debinarize(codec.decode(tup, args.engine))
+            raise CliError("decode", f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
     _write_text(args.out, "".join(lines))
     _write_sidecar(args.out, _run_metadata(args, "decode"))

@@ -77,41 +77,30 @@ def encode(tree: BinaryTree) -> DistanceTuple:
     The score at each split point is the height of the internal node over
     it: leaves have height 0, every internal node is one above its taller
     child. Within any span the maximum is then unique, so decoding is exact.
+    One in-order walk collects the labels and the heights together.
     """
-    heights: dict[int, int] = {}
-    post: list[BinaryTree] = [tree]
-    ordered: list[Internal] = []
-    while post:
-        node = post.pop()
-        if isinstance(node, Internal):
-            ordered.append(node)
-            post.append(node.left)
-            post.append(node.right)
-    for node in reversed(ordered):
-        left_h = heights.get(id(node.left), 0)
-        right_h = heights.get(id(node.right), 0)
-        heights[id(node)] = max(left_h, right_h) + 1
-
-    words: list[str] = []
-    tags: list[str] = []
-    unary: list[str] = []
-    distances: list[float] = []
-    split_labels: list[str] = []
-    # in-order traversal: (node, expanded) pairs
-    stack: list[tuple[BinaryTree, bool]] = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Terminal):
-            words.append(node.word)
-            tags.append(node.tag)
-            unary.append(node.unary_label)
-        elif expanded:
-            distances.append(float(heights[id(node)]))
-            split_labels.append(node.label)
+    words, tags, unary, distances, split_labels = [], [], [], [], []
+    heights: list[float] = []  # of the finished subtrees, innermost last
+    # In-order: a node comes back as its label after its left subtree and
+    # reserves the next distance slot under its right subtree; the slot
+    # comes back after the right subtree and takes the node's height.
+    work: list = [tree]
+    while work:
+        item = work.pop()
+        if isinstance(item, Internal):
+            work += (item.right, item.label, item.left)
+        elif isinstance(item, Terminal):
+            words.append(item.word)
+            tags.append(item.tag)
+            unary.append(item.unary_label)
+            heights.append(0.0)
+        elif isinstance(item, str):
+            split_labels.append(item)
+            work.insert(-1, len(distances))
+            distances.append(0.0)
         else:
-            stack.append((node.right, False))
-            stack.append((node, True))
-            stack.append((node.left, False))
+            right = heights.pop()
+            heights[-1] = distances[item] = max(heights[-1], right) + 1.0
     return DistanceTuple(
         tuple(words), tuple(tags), tuple(unary), tuple(distances), tuple(split_labels)
     )

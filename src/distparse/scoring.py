@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .codec import DistanceTuple
-from .trees import Leaf, Tree, leaves
+from .trees import Leaf, Tree
 
 
 class EvaluationError(ValueError):
@@ -37,37 +37,38 @@ class EvalCounts:
         )
 
 
-def extract_spans(tree: Tree) -> Counter:
-    """Multiset of (label, start, end) spans, end exclusive.
+def extract_spans(tree: Tree) -> tuple[list[str], Counter]:
+    """The tree's words, in order, and the multiset of its (label, start,
+    end) spans, end exclusive, from one walk.
 
     Preterminals are not spans; a bare-leaf tree therefore has none.
     """
-    spans: Counter = Counter()
     if isinstance(tree, Leaf):
-        return spans
-    position = 0  # leaves passed so far
+        return [tree.word], Counter()
+    words: list[str] = []
+    spans: Counter = Counter()
     # open nodes: (label, start, unvisited children)
     stack = [(tree.label, 0, iter(tree.children))]
     while stack:
         label, start, children = stack[-1]
         for child in children:
             if isinstance(child, Leaf):
-                position += 1
+                words.append(child.word)
             else:
-                stack.append((child.label, position, iter(child.children)))
+                stack.append((child.label, len(words), iter(child.children)))
                 break
         else:
             stack.pop()
-            spans[(label, start, position)] += 1
-    return spans
+            spans[(label, start, len(words))] += 1
+    return words, spans
 
 
 def count_pair(gold: Tree, pred: Tree, index: int = 0) -> EvalCounts:
     """Bracket counts for one sentence; leaves must match."""
-    if [leaf.word for leaf in leaves(gold)] != [leaf.word for leaf in leaves(pred)]:
+    gold_words, gold_spans = extract_spans(gold)
+    pred_words, pred_spans = extract_spans(pred)
+    if gold_words != pred_words:
         raise EvaluationError(f"leaf mismatch in sentence {index}")
-    gold_spans = extract_spans(gold)
-    pred_spans = extract_spans(pred)
     matched_labeled = sum((gold_spans & pred_spans).values())
     gold_positions = Counter((s, e) for (_, s, e) in gold_spans.elements())
     pred_positions = Counter((s, e) for (_, s, e) in pred_spans.elements())

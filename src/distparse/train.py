@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .binarize import EMPTY_LABEL, Internal, debinarize
+from .binarize import EMPTY_LABEL, Internal, debinarize, split_chain
 from .codec import ENGINES, DistanceTuple, decode
 from .scoring import score
 from .trees import Tree
@@ -81,11 +81,22 @@ class Vocabulary:
             raise ValueError(f"split label {label!r} not in the training vocabulary")
 
 
+# TrainConfig's float fields -> (the rule each value must meet, its wording)
+_FLOAT_RULES = {
+    "learning_rate": (lambda value: value > 0, "greater than 0"),
+    "beta1": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    "beta2": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    "adam_eps": (lambda value: value > 0, "greater than 0"),
+    "weight_decay": (lambda value: value >= 0, "not below 0"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings; the fields are the keys of a ``--config`` file.
-    Rejects, with ``ValueError``, fewer than one epoch and an unknown loss
-    or decode engine."""
+    Rejects, with ``ValueError``, fewer than one epoch, a model dimension
+    below 1, a float that breaks its :data:`_FLOAT_RULES` rule or is not
+    finite, and an unknown loss or decode engine."""
 
     epochs: int = 20
     seed: int = 0
@@ -104,6 +115,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        dims = (self.embed_dim, self.hidden_dim, self.conv_channels, self.ff_hidden)
+        model.ModelConfig(1, 1, 1, 1, *dims).validate()
+        for name, (holds, rule) in _FLOAT_RULES.items():
+            value = getattr(self, name)
+            if not (math.isfinite(value) and holds(value)):
+                raise ValueError(f"{name} must be a finite number {rule}, got {value}")
         if self.distance_loss not in model.LOSS_KINDS:
             raise ValueError(
                 f"distance_loss must be one of {model.LOSS_KINDS}, "
@@ -407,18 +424,6 @@ def predict_trees(
     return parsed
 
 
-def predict_tree(
-    params,
-    model_config,
-    vocab,
-    words: Sequence[str],
-    tags: Sequence[str],
-    engine: str = "stack",
-) -> Tree:
-    """Parse one sentence: :func:`predict_trees` on a batch of one."""
-    return predict_trees(params, model_config, vocab, [(words, tags)], engine)[0]
-
-
 def _best_non_empty(probs: np.ndarray, labels: tuple[str, ...]) -> str:
     order = np.argsort(-probs)
     for index in order:
@@ -485,6 +490,9 @@ def load_checkpoint(path) -> TrainResult:
         word_labels=tuple(payload["vocab"]["word_labels"]),
         split_labels=tuple(payload["vocab"]["split_labels"]),
     )
+    for label in (*vocab.word_labels, *vocab.split_labels):
+        if label != EMPTY_LABEL:
+            split_chain(label)
     model_config.validate()
     params = model.FlatParams(model.param_shapes(model_config))
     slots = _checkpoint_arrays(params)

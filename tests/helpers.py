@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from collections import Counter
+
 from distparse.binarize import (
     CHAIN_SEPARATOR,
     EMPTY_LABEL,
     Internal,
     StructureError,
     Terminal,
+    _collapse_chain,
 )
 from distparse.codec import DistanceTuple
 from distparse.trees import Leaf, NaryTree, serialize_bracketed
@@ -211,9 +214,11 @@ def write_treebank(trees, path) -> None:
             handle.write(serialize_bracketed(tree) + "\n")
 
 
-# Reference implementations of the read-side tree walks: the post-order
-# fold and the two-pass serializer that the single-pass versions replaced.
-# The property tests require the library's versions to equal these.
+# Reference implementations of the tree walks that single-pass versions
+# replaced: the post-order folds of debinarize and binarize, the two-pass
+# serializer and encoder, and the span walk that left the words to a
+# second walk. The property tests require the library's versions to equal
+# these.
 
 
 def reference_debinarize(tree):
@@ -292,3 +297,89 @@ def reference_leaves(tree) -> list:
         else:
             work.extend(reversed(node.children))
     return found
+
+
+def reference_binarize(tree):
+    results = []
+    # ("visit", tree) expands a node; ("combine", label, k) folds the top k
+    # results into one binary constituent.
+    work = [("visit", tree)]
+    while work:
+        action = work.pop()
+        if action[0] == "visit":
+            node = action[1]
+            if isinstance(node, Leaf):
+                results.append(Terminal(node.word, node.tag))
+                continue
+            chain, bottom = _collapse_chain(node)
+            if isinstance(bottom, Leaf):
+                results.append(Terminal(bottom.word, bottom.tag, chain))
+            else:
+                work.append(("combine", chain, len(bottom.children)))
+                for child in reversed(bottom.children):
+                    work.append(("visit", child))
+        else:
+            _, label, count = action
+            children = results[-count:]
+            del results[-count:]
+            right = children[-1]
+            for child in reversed(children[1:-1]):
+                right = Internal(EMPTY_LABEL, child, right)
+            results.append(Internal(label, children[0], right))
+    (root,) = results
+    return root
+
+
+def reference_encode(tree) -> DistanceTuple:
+    heights = {}
+    post = [tree]
+    ordered = []
+    while post:
+        node = post.pop()
+        if isinstance(node, Internal):
+            ordered.append(node)
+            post.append(node.left)
+            post.append(node.right)
+    for node in reversed(ordered):
+        left_h = heights.get(id(node.left), 0)
+        right_h = heights.get(id(node.right), 0)
+        heights[id(node)] = max(left_h, right_h) + 1
+
+    words, tags, unary, distances, split_labels = [], [], [], [], []
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Terminal):
+            words.append(node.word)
+            tags.append(node.tag)
+            unary.append(node.unary_label)
+        elif expanded:
+            distances.append(float(heights[id(node)]))
+            split_labels.append(node.label)
+        else:
+            stack.append((node.right, False))
+            stack.append((node, True))
+            stack.append((node.left, False))
+    return DistanceTuple(
+        tuple(words), tuple(tags), tuple(unary), tuple(distances), tuple(split_labels)
+    )
+
+
+def reference_extract_spans(tree) -> Counter:
+    spans = Counter()
+    if isinstance(tree, Leaf):
+        return spans
+    position = 0
+    stack = [(tree.label, 0, iter(tree.children))]
+    while stack:
+        label, start, children = stack[-1]
+        for child in children:
+            if isinstance(child, Leaf):
+                position += 1
+            else:
+                stack.append((child.label, position, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            spans[(label, start, position)] += 1
+    return spans

@@ -14,6 +14,8 @@ from distparse.binarize import (
     binarize,
     debinarize,
 )
+from distparse.codec import binary_trees_equal, encode
+from distparse.scoring import extract_spans
 from distparse.trees import (
     Leaf,
     NaryTree,
@@ -25,7 +27,10 @@ from distparse.trees import (
 from helpers import (
     random_binary_tree,
     random_nary_tree,
+    reference_binarize,
     reference_debinarize,
+    reference_encode,
+    reference_extract_spans,
     reference_leaves,
     reference_serialize,
 )
@@ -117,6 +122,15 @@ class TestDebinarize:
         tree = Internal(EMPTY_LABEL, Terminal("a", "T"), Terminal("b", "T"))
         with pytest.raises(StructureError):
             debinarize(tree)
+
+    @pytest.mark.parametrize("label", ["S+", "+S", "S++VP", "", "S+∅"])
+    def test_chain_binarize_would_reject_is_rejected(self, label):
+        # as a split label and as a unary label over a word
+        split = Internal(label, Terminal("a", "T"), Terminal("b", "T"))
+        unary = Internal("S", Terminal("a", "T"), Terminal("b", "T", label))
+        for tree in (split, unary, Terminal("a", "T", label)):
+            with pytest.raises(LabelError):
+                debinarize(tree)
 
     def test_ternary_roundtrip(self):
         (tree,) = parse_bracketed("(NP (DT a) (JJ b) (NN c))")
@@ -230,3 +244,105 @@ class TestReadWalksMatchReference:
             found, expected = leaves(tree), reference_leaves(tree)
             assert len(found) == len(expected)
             assert all(a is b for a, b in zip(found, expected))
+
+
+def left_comb(depth: int) -> NaryTree:
+    """An n-ary tree whose every node has a subtree, then a leaf."""
+    node: NaryTree | Leaf = Leaf("w0", "NN")
+    for i in range(1, depth + 1):
+        node = NaryTree("S" if i % 2 else "NP", [node, Leaf(f"w{i}", "NN")])
+    return node
+
+
+def right_comb(depth: int) -> NaryTree:
+    """An n-ary tree whose every node has a leaf, then a subtree."""
+    node: NaryTree | Leaf = Leaf(f"w{depth}", "NN")
+    for i in range(depth - 1, -1, -1):
+        node = NaryTree("VP" if i % 2 else "S", [Leaf(f"w{i}", "NN"), node])
+    return node
+
+
+def binary_right_comb(depth: int) -> Internal:
+    labels = cycle(("S", EMPTY_LABEL, "S+VP"))
+    node = Terminal(f"w{depth}", "NN", "NP")
+    for i in range(depth - 1, -1, -1):
+        node = Internal(next(labels), Terminal(f"w{i}", "NN"), node)
+    return node
+
+
+class TestEncodeWalksMatchReference:
+    """``binarize``, ``encode`` and ``extract_spans`` against the
+    implementations they replaced, kept in ``helpers`` as references."""
+
+    @staticmethod
+    def nary_cases() -> list:
+        rng = np.random.default_rng(707)
+        cases = [
+            Leaf("w", "NN"),
+            NaryTree("S", [Leaf("w", "NN")]),
+            NaryTree("S", [NaryTree("VP", [Leaf("w", "NN")])]),
+        ]
+        cases += [random_nary_tree(rng, unary_prob=0.4) for _ in range(300)]
+        cases += [random_nary_tree(rng, int(rng.integers(13, 60))) for _ in range(50)]
+        cases += [left_comb(5000), right_comb(5000), deep_nary_tree(5000)]
+        cases.append(NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(40_000)]))
+        return cases
+
+    @staticmethod
+    def binary_cases() -> list:
+        rng = np.random.default_rng(708)
+        cases = [Terminal("w", "NN"), Terminal("w", "NN", "S+VP")]
+        cases += [random_binary_tree(rng, int(rng.integers(1, 40))) for _ in range(300)]
+        cases += [deep_binary_tree(5000), binary_right_comb(5000)]
+        return cases
+
+    def test_binarize(self):
+        for tree in self.nary_cases():
+            assert binary_trees_equal(binarize(tree), reference_binarize(tree))
+
+    def test_encode(self):
+        for tree in self.binary_cases():
+            assert encode(tree) == reference_encode(tree)
+        for tree in self.nary_cases():
+            assert encode(binarize(tree)) == reference_encode(reference_binarize(tree))
+
+    def test_extract_spans(self):
+        for tree in self.nary_cases():
+            words, spans = extract_spans(tree)
+            assert words == [leaf.word for leaf in reference_leaves(tree)]
+            assert spans == reference_extract_spans(tree)
+
+    def test_flat_40k_constituent_binarizes_and_encodes_in_linear_time(self):
+        tree = NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(40_000)])
+        start = time.perf_counter()
+        tup = encode(binarize(tree))
+        elapsed = time.perf_counter() - start
+        assert tup.distances == tuple(float(40_000 - i) for i in range(1, 40_000))
+        assert elapsed < 1.0, f"binarize and encode took {elapsed:.2f} s"
+
+    def test_first_label_error_is_the_references(self):
+        # two bad labels per tree, at random internal nodes: binarize must
+        # report the same one the reference visits first
+        rng = np.random.default_rng(709)
+        checked = 0
+        for _ in range(300):
+            tree = random_nary_tree(rng, int(rng.integers(2, 20)))
+            internal = []
+            work = [tree]
+            while work:
+                node = work.pop()
+                if isinstance(node, NaryTree):
+                    internal.append(node)
+                    work.extend(node.children)
+            if len(internal) < 2:
+                continue
+            first, second = rng.choice(len(internal), size=2, replace=False)
+            internal[first].label = "A+1"
+            internal[second].label = EMPTY_LABEL if rng.random() < 0.5 else "B+2"
+            with pytest.raises(LabelError) as expected:
+                reference_binarize(tree)
+            with pytest.raises(LabelError) as found:
+                binarize(tree)
+            assert str(found.value) == str(expected.value)
+            checked += 1
+        assert checked > 200

@@ -209,6 +209,38 @@ class TestEncodeDecode:
         assert err.startswith("error: decode:") and "line 1" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "split_label, unary_label, message",
+        [
+            pytest.param("S+", "∅", "empty nonterminal label", id="split-S+"),
+            pytest.param("S", "NP+", "empty nonterminal label", id="unary-NP+"),
+            pytest.param("∅", "∅", "root carries the empty label", id="empty-root"),
+            pytest.param("", "∅", "empty nonterminal label", id="split-empty-string"),
+        ],
+    )
+    def test_label_encode_could_not_write_names_the_line(
+        self, tmp_path, capsys, split_label, unary_label, message
+    ):
+        def record(split, unary):
+            return json.dumps(
+                {
+                    "words": ["a", "b"],
+                    "tags": ["X", "Y"],
+                    "unary_labels": ["∅", unary],
+                    "distances": [1.0],
+                    "split_labels": [split],
+                },
+                ensure_ascii=False,
+            )
+
+        jsonl = tmp_path / "labels.jsonl"
+        jsonl.write_text(record("S", "∅") + "\n" + record(split_label, unary_label) + "\n")
+        out = tmp_path / "labels.mrg"
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: decode: {jsonl}: line 2: {message}\n"
+        assert not out.exists()
+
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["encode", "/nonexistent/path.mrg"]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
@@ -416,6 +448,49 @@ class TestTrainPredictScore:
         assert err.startswith("error: config: ") and err.count("\n") == 1
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(f"{name} = {value}\n", message, id=name)
+            for name, value, message in [
+                ("embed_dim", "0", "embed_dim must be positive"),
+                ("hidden_dim", "0", "hidden_dim must be positive"),
+                ("conv_channels", "-1", "conv_channels must be positive"),
+                ("ff_hidden", "0", "ff_hidden must be positive"),
+                ("learning_rate", "-1", "learning_rate must be a finite number"
+                 " greater than 0, got -1.0"),
+                ("adam_eps", "0", "adam_eps must be a finite number greater than 0,"
+                 " got 0.0"),
+                ("beta1", "2", "beta1 must be a finite number in [0, 1), got 2.0"),
+                ("beta2", "1", "beta2 must be a finite number in [0, 1), got 1.0"),
+                ("weight_decay", "-5", "weight_decay must be a finite number"
+                 " not below 0, got -5.0"),
+            ]
+        ]
+        + [
+            pytest.param(f"{name} = {value}\n", f"{name} must be a finite number",
+                         id=f"{name}-{value}")
+            for name, value in [
+                ("learning_rate", "nan"),
+                ("beta1", "-inf"),
+                ("adam_eps", "inf"),
+                ("weight_decay", "nan"),
+            ]
+        ],
+    )
+    def test_config_value_is_a_config_error_before_any_treebank_is_read(
+        self, tmp_path, capsys, line, message
+    ):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line)
+        ckpt = tmp_path / "m.json"
+        missing = tmp_path / "missing.mrg"
+        argv = ["train", "--train", str(missing), "--config", str(config)]
+        assert main(argv + ["--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
+        assert not ckpt.exists()
+
     def test_config_file_may_set_every_train_config_field(
         self, tmp_path, mini_treebank
     ):
@@ -503,6 +578,21 @@ class TestTrainPredictScore:
         ckpt = self._broken_checkpoint(tmp_path, mini_treebank, poison)
         self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
 
+
+    @pytest.mark.parametrize("field", ["word_labels", "split_labels"])
+    def test_checkpoint_label_decode_would_reject_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, field
+    ):
+        payload = json.loads(small_checkpoint.read_text())
+        payload["vocab"][field][-1] = "NP+"
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "pred.mrg"
+        argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint: {ckpt}: empty nonterminal label\n"
+        assert not out.exists()
 
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
         config = tmp_path / "diverge.cfg"

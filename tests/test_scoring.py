@@ -24,19 +24,20 @@ def trees_of(*texts):
 class TestExtractSpans:
     def test_simple_sentence(self):
         (tree,) = trees_of("(S (NP (PRP She)) (VP (VBZ runs)))")
-        assert dict(extract_spans(tree)) == {
+        assert dict(extract_spans(tree)[1]) == {
             ("S", 0, 2): 1,
             ("NP", 0, 1): 1,
             ("VP", 1, 2): 1,
         }
+        assert extract_spans(tree)[0] == ["She", "runs"]
 
     def test_single_preterminal_under_root(self):
         (tree,) = trees_of("(NP (NN dog))")
-        assert dict(extract_spans(tree)) == {("NP", 0, 1): 1}
+        assert dict(extract_spans(tree)[1]) == {("NP", 0, 1): 1}
 
     def test_duplicate_spans_counted(self):
         (tree,) = trees_of("(NP (NP (NN dog)))")
-        assert extract_spans(tree)[("NP", 0, 1)] == 2
+        assert extract_spans(tree)[1][("NP", 0, 1)] == 2
 
     def test_span_count_equals_internal_node_count(self):
         rng = np.random.default_rng(31)
@@ -49,13 +50,13 @@ class TestExtractSpans:
                 if hasattr(node, "children"):
                     internal += 1
                     work.extend(node.children)
-            assert sum(extract_spans(tree).values()) == internal
+            assert sum(extract_spans(tree)[1].values()) == internal
 
     def test_deep_tree_does_not_recurse(self):
         tree = Leaf("w0", "NN")
         for i in range(1, 5000):
             tree = NaryTree("S", [tree, Leaf(f"w{i}", "NN")])
-        spans = extract_spans(tree)
+        spans = extract_spans(tree)[1]
         assert spans == Counter({("S", 0, end): 1 for end in range(2, 5001)})
 
 

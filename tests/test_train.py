@@ -14,7 +14,6 @@ from distparse.train import (
     Vocabulary,
     load_checkpoint,
     predict_scores,
-    predict_tree,
     predict_trees,
     save_checkpoint,
     train,
@@ -151,7 +150,7 @@ class TestTraining:
         untrained = model.init_params(result.model_config, np.random.default_rng(0))
         gold = [debinarize(decode(t)) for t in dev_tuples]
         baseline_pred = [
-            predict_tree(untrained, result.model_config, vocab, t.words, t.tags)
+            predict_trees(untrained, result.model_config, vocab, [(t.words, t.tags)])[0]
             for t in dev_tuples
         ]
         baseline = score(gold, baseline_pred).unlabeled_f1
@@ -197,9 +196,9 @@ class TestPrediction:
         train_tuples, dev_tuples = small_corpus(60, 5)
         result = train(train_tuples, [], small_config(epochs=1))
         for tup in dev_tuples:
-            tree = predict_tree(
-                result.params, result.model_config, result.vocab, tup.words, tup.tags
-            )
+            tree = predict_trees(
+                result.params, result.model_config, result.vocab, [(tup.words, tup.tags)]
+            )[0]
             assert tuple(words_of(tree)) == tup.words
 
     def test_untrained_parameters_still_yield_wellformed_trees(self):
@@ -218,7 +217,7 @@ class TestPrediction:
         for seed in range(5):
             params = model.init_params(config, np.random.default_rng(seed))
             for tup in dev_tuples:
-                tree = predict_tree(params, config, vocab, tup.words, tup.tags)
+                tree = predict_trees(params, config, vocab, [(tup.words, tup.tags)])[0]
                 assert isinstance(tree, (NaryTree, Leaf))
                 assert tuple(words_of(tree)) == tup.words
 
@@ -247,7 +246,7 @@ class TestPrediction:
         tup = train_tuples[0]
         if len(tup.words) < 2:
             tup = next(t for t in train_tuples if len(t.words) >= 2)
-        tree = predict_tree(params, config, vocab, tup.words, tup.tags)
+        tree = predict_trees(params, config, vocab, [(tup.words, tup.tags)])[0]
         assert isinstance(tree, (NaryTree, Leaf))
         [(predicted, _, _)] = predict_scores(
             params, config, vocab, [(tup.words, tup.tags)]
@@ -278,10 +277,10 @@ class TestPrediction:
                 engine,
             )
             single = [
-                predict_tree(
+                predict_trees(
                     result.params, result.model_config, result.vocab,
-                    t.words, t.tags, engine,
-                )
+                    [(t.words, t.tags)], engine,
+                )[0]
                 for t in dev_tuples
             ]
             assert batched == single
@@ -289,9 +288,9 @@ class TestPrediction:
     def test_single_word_prediction(self):
         train_tuples, _ = small_corpus(60, 0)
         result = train(train_tuples, [], small_config(epochs=1))
-        tree = predict_tree(
-            result.params, result.model_config, result.vocab, ("run",), ("VB",)
-        )
+        tree = predict_trees(
+            result.params, result.model_config, result.vocab, [(("run",), ("VB",))]
+        )[0]
         assert tuple(words_of(tree)) == ("run",)
 
     def test_single_word_chain_label_expands_to_nested_tree(self):
@@ -313,7 +312,7 @@ class TestPrediction:
         params["word_head_W2"][:] = 0.0
         params["word_head_b2"][:] = 0.0
         params["word_head_b2"][vocab.word_labels.index("S+VP")] = 10.0
-        tree = predict_tree(params, config, vocab, ("run",), ("VB",))
+        tree = predict_trees(params, config, vocab, [(("run",), ("VB",))])[0]
         assert tree == NaryTree("S", [NaryTree("VP", [Leaf("run", "VB")])])
 
 
@@ -399,7 +398,7 @@ class TestNonFiniteOutput:
         sentences = [(t.words, t.tags) for t in dev_tuples]
         for call in (
             lambda: predict_trees(params, result.model_config, result.vocab, sentences),
-            lambda: predict_tree(params, result.model_config, result.vocab, *sentences[0]),
+            lambda: predict_trees(params, result.model_config, result.vocab, [sentences[0]]),
         ):
             with pytest.raises(NonFiniteError, match="non-finite model output"):
                 call()
@@ -418,7 +417,7 @@ class TestNonFiniteOutput:
         assert len({len(words) for words, _ in sentences}) > 1
         batched = predict_trees(params, result.model_config, result.vocab, sentences)
         single = [
-            predict_tree(params, result.model_config, result.vocab, words, tags)
+            predict_trees(params, result.model_config, result.vocab, [(words, tags)])[0]
             for words, tags in sentences
         ]
         assert batched == single
@@ -436,8 +435,9 @@ class TestCheckpoint:
         for name in result.params:
             np.testing.assert_array_equal(loaded.params[name], result.params[name])
         tup = dev_tuples[0]
-        a = predict_tree(result.params, result.model_config, result.vocab, tup.words, tup.tags)
-        b = predict_tree(loaded.params, loaded.model_config, loaded.vocab, tup.words, tup.tags)
+        sentence = [(tup.words, tup.tags)]
+        a = predict_trees(result.params, result.model_config, result.vocab, sentence)[0]
+        b = predict_trees(loaded.params, loaded.model_config, loaded.vocab, sentence)[0]
         assert a == b
 
     def test_keeps_per_direction_names_and_packs_the_flat_layout(self, tmp_path):
