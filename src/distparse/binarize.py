@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .trees import Leaf, NaryTree, Tree
+from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
 
 EMPTY_LABEL = "∅"  # ∅, marks spans that are not real constituents
 CHAIN_SEPARATOR = "+"
@@ -48,7 +48,11 @@ class Internal:
 BinaryTree = Union[Internal, Terminal]
 
 
-def _check_label(label: str) -> str:
+def check_label(label: str) -> str:
+    """``label`` if binarize can encode it reversibly and a bracketed tree
+    can hold it; raises :class:`LabelError` otherwise."""
+    if label.isalpha():  # letters only, as most labels are: no test can fail
+        return label
     if CHAIN_SEPARATOR in label:
         raise LabelError(
             f"label {label!r} contains the chain separator {CHAIN_SEPARATOR!r}"
@@ -57,13 +61,15 @@ def _check_label(label: str) -> str:
         raise LabelError(f"label {label!r} collides with the empty-label marker")
     if not label:
         raise LabelError("empty nonterminal label")
+    if BREAKS_TOKEN.search(label) is not None:
+        raise LabelError(f"label {label!r} {token_problem(label)}")
     return label
 
 
 def _collapse_chain(node: NaryTree) -> tuple[str, NaryTree | Leaf]:
     """Walk down a maximal unary chain, returning the joined label and the
     node the chain bottoms out at (a leaf, or a node with >=2 children)."""
-    labels = [_check_label(node.label)]
+    labels = [check_label(node.label)]
     current: Tree = node
     while True:
         assert isinstance(current, NaryTree)
@@ -72,7 +78,7 @@ def _collapse_chain(node: NaryTree) -> tuple[str, NaryTree | Leaf]:
         child = current.children[0]
         if isinstance(child, Leaf):
             return CHAIN_SEPARATOR.join(labels), child
-        labels.append(_check_label(child.label))
+        labels.append(check_label(child.label))
         current = child
 
 
@@ -118,8 +124,15 @@ def binarize(tree: Tree) -> BinaryTree:
 
 def split_chain(label: str) -> list[str]:
     """The labels of a collapsed unary chain, top first. Raises
-    :class:`LabelError` if one is not a label :func:`binarize` accepts."""
-    return [_check_label(part) for part in label.split(CHAIN_SEPARATOR)]
+    :class:`LabelError` if one is not a label :func:`binarize` accepts,
+    naming the whole chain if it has several parts."""
+    parts = label.split(CHAIN_SEPARATOR)
+    try:
+        return [check_label(part) for part in parts]
+    except LabelError as exc:
+        if len(parts) == 1:
+            raise
+        raise LabelError(f"{exc} in chain {label!r}") from None
 
 
 def _expand_chain(label: str, children: list[Tree]) -> NaryTree:

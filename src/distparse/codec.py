@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binarize import BinaryTree, Internal, Terminal
+from .trees import BREAKS_TOKEN, token_problem
 
 @dataclass(frozen=True)
 class DistanceTuple:
@@ -337,16 +338,32 @@ def _list_field(record: dict, name: str, allowed: frozenset, kind: str) -> list:
     return values
 
 
+def _token_field(record: dict, name: str) -> list[str]:
+    """``record[name]``, checked to be a list of strings that a bracketed
+    tree can hold as words or tags. One search of their join finds whether
+    any token holds whitespace or a parenthesis."""
+    values = _list_field(record, name, _STRING, "strings")
+    if "" in values or BREAKS_TOKEN.search("".join(values)) is not None:
+        index = next(i for i, value in enumerate(values) if token_problem(value))
+        raise ValueError(
+            f"field {name!r} item {index} {token_problem(values[index])}: "
+            f"{values[index]!r}"
+        )
+    return values
+
+
 def from_json_line(line: str) -> DistanceTuple:
     """Parse one interchange record; raises ValueError on malformed input:
     a missing field, a field that is not a list of the right element type
-    (numbers for ``distances``, strings for the rest), or a non-finite
-    distance."""
+    (numbers for ``distances``, strings for the rest), a word or tag that
+    a bracketed tree cannot hold (empty, or with whitespace or a
+    parenthesis), or a non-finite distance. Labels are checked where they
+    are read back, by :func:`~distparse.binarize.debinarize`."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
-    words = _list_field(record, "words", _STRING, "strings")
-    tags = _list_field(record, "tags", _STRING, "strings")
+    words = _token_field(record, "words")
+    tags = _token_field(record, "tags")
     unary_labels = _list_field(record, "unary_labels", _STRING, "strings")
     distances = _list_field(record, "distances", _NUMBER, "numbers")
     split_labels = _list_field(record, "split_labels", _STRING, "strings")

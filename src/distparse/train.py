@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .binarize import EMPTY_LABEL, Internal, debinarize, split_chain
+from .binarize import EMPTY_LABEL, Internal, LabelError, debinarize, split_chain
 from .codec import ENGINES, DistanceTuple, decode
 from .scoring import score
 from .trees import Tree
@@ -490,9 +490,13 @@ def load_checkpoint(path) -> TrainResult:
         word_labels=tuple(payload["vocab"]["word_labels"]),
         split_labels=tuple(payload["vocab"]["split_labels"]),
     )
-    for label in (*vocab.word_labels, *vocab.split_labels):
-        if label != EMPTY_LABEL:
-            split_chain(label)
+    for name in ("word_labels", "split_labels"):
+        for label in getattr(vocab, name):
+            if label != EMPTY_LABEL:
+                try:
+                    split_chain(label)
+                except LabelError as exc:
+                    raise LabelError(f"vocab.{name}: {exc}") from None
     model_config.validate()
     params = model.FlatParams(model.param_shapes(model_config))
     slots = _checkpoint_arrays(params)

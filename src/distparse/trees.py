@@ -40,6 +40,27 @@ class NaryTree:
 
 Tree = Union[NaryTree, Leaf]
 
+
+# a character that no word, tag or label of a bracketed tree can hold: the
+# reader's tokens below are runs of any other character
+BREAKS_TOKEN = re.compile(r"[\s()]")
+
+
+def token_problem(token: str) -> str | None:
+    """Why a bracketed tree cannot hold ``token`` as a word, tag or label
+    (it is empty, or holds whitespace or a parenthesis), or ``None``."""
+    if not token:
+        return "is empty"
+    found = BREAKS_TOKEN.search(token)
+    if found is None:
+        return None
+    return "holds whitespace" if found.group().isspace() else "holds a parenthesis"
+
+
+# the tag of an empty element (a trace or null element), which
+# preprocessing strips
+NONE_TAG = "-NONE-"
+
 # a whole preterminal ``(TAG word)`` first, then single tokens; anything
 # malformed falls through to the single tokens, which report it
 _TOKEN = re.compile(r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|[()]|[^()\s]+")
@@ -146,7 +167,7 @@ def preprocess(tree: Tree) -> Tree | None:
     any depth works.
     """
     if isinstance(tree, Leaf):
-        return None if tree.tag == "-NONE-" else Leaf(tree.word, tree.tag)
+        return None if tree.tag == NONE_TAG else Leaf(tree.word, tree.tag)
     cleaned: list[Tree] = []
     # open nodes: (label, unvisited children, kept children, parent's kept)
     stack = [(tree.label, iter(tree.children), [], cleaned)]
@@ -154,7 +175,7 @@ def preprocess(tree: Tree) -> Tree | None:
         label, children, kept, siblings = stack[-1]
         for child in children:
             if isinstance(child, Leaf):
-                if child.tag != "-NONE-":
+                if child.tag != NONE_TAG:
                     kept.append(Leaf(child.word, child.tag))
             else:
                 stack.append((child.label, iter(child.children), [], kept))

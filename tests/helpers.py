@@ -87,6 +87,22 @@ def random_nary_tree(rng: np.random.Generator, n_leaves: int | None = None,
     return tree
 
 
+def left_comb(depth: int) -> NaryTree:
+    """An n-ary tree whose every node has a subtree, then a leaf."""
+    node: NaryTree | Leaf = Leaf("w0", "NN")
+    for i in range(1, depth + 1):
+        node = NaryTree("S" if i % 2 else "NP", [node, Leaf(f"w{i}", "NN")])
+    return node
+
+
+def right_comb(depth: int) -> NaryTree:
+    """An n-ary tree whose every node has a leaf, then a subtree."""
+    node: NaryTree | Leaf = Leaf(f"w{depth}", "NN")
+    for i in range(depth - 1, -1, -1):
+        node = NaryTree("VP" if i % 2 else "S", [Leaf(f"w{i}", "NN"), node])
+    return node
+
+
 def random_binary_tree(rng: np.random.Generator, n_leaves: int) -> "Internal | Terminal":
     """A random labeled binary tree; internal labels may be the empty label
     or collapsed chains, like real binarizer output."""
@@ -216,9 +232,9 @@ def write_treebank(trees, path) -> None:
 
 # Reference implementations of the tree walks that single-pass versions
 # replaced: the post-order folds of debinarize and binarize, the two-pass
-# serializer and encoder, and the span walk that left the words to a
-# second walk. The property tests require the library's versions to equal
-# these.
+# serializer and encoder, the span walk that left the words to a second
+# walk, and the label accuracy that scoring read off encoded tuples. The
+# property tests require the library's versions to equal these.
 
 
 def reference_debinarize(tree):
@@ -383,3 +399,22 @@ def reference_extract_spans(tree) -> Counter:
             stack.pop()
             spans[(label, start, position)] += 1
     return spans
+
+
+def reference_label_accuracy(gold_tuples, pred_tuples, field: str) -> float:
+    """Percentage of positions whose label matches gold, for ``field``
+    ``"unary_labels"`` (one per word) or ``"split_labels"`` (one per split
+    point)."""
+    if len(gold_tuples) != len(pred_tuples):
+        raise ValueError(
+            f"got {len(gold_tuples)} gold but {len(pred_tuples)} predicted tuples"
+        )
+    correct = 0
+    total = 0
+    for index, (g, p) in enumerate(zip(gold_tuples, pred_tuples)):
+        if len(g) != len(p):
+            raise ValueError(f"tuple length mismatch in sentence {index}")
+        gold_labels, pred_labels = getattr(g, field), getattr(p, field)
+        total += len(gold_labels)
+        correct += sum(1 for a, b in zip(gold_labels, pred_labels) if a == b)
+    return 100.0 * correct / total if total else 0.0

@@ -5,7 +5,8 @@ with ``pytest -s`` or on failure) and then asserts. Every check is seeded
 and deterministic except the two wall-clock growth measurements, which use
 min-over-repetitions timing to shrug off machine noise.
 
-The slow criteria (learnability, decoding complexity) run last; the whole
+The slow criteria (learnability, decoding complexity) run last and carry
+the ``slow`` marker, so ``pytest -m "not slow"`` skips them; the whole
 module takes a few minutes.
 """
 
@@ -13,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from distparse import bench, model, pcfg
 from distparse.binarize import binarize, debinarize
@@ -313,6 +315,7 @@ def test_criterion_9_scorer_fixtures():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_learnability():
     start = time.perf_counter()
     trees = pcfg.generate_trees(2200, seed=12345)
@@ -337,6 +340,7 @@ def test_criterion_7_learnability():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_decoding_complexity():
     sizes = [10_000, 20_000, 40_000]
     scan_rows = bench.run(

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import cycle
 from pathlib import Path
 
@@ -6,16 +7,18 @@ import numpy as np
 import pytest
 
 from distparse.binarize import (
+    CHAIN_SEPARATOR,
     EMPTY_LABEL,
     Internal,
     LabelError,
     StructureError,
     Terminal,
     binarize,
+    check_label,
     debinarize,
 )
 from distparse.codec import binary_trees_equal, encode
-from distparse.scoring import extract_spans
+from distparse.scoring import read_tree
 from distparse.trees import (
     Leaf,
     NaryTree,
@@ -23,8 +26,10 @@ from distparse.trees import (
     parse_bracketed,
     preprocess,
     serialize_bracketed,
+    token_problem,
 )
 from helpers import (
+    left_comb,
     random_binary_tree,
     random_nary_tree,
     reference_binarize,
@@ -33,6 +38,7 @@ from helpers import (
     reference_extract_spans,
     reference_leaves,
     reference_serialize,
+    right_comb,
 )
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
@@ -107,6 +113,25 @@ class TestBinarize:
         tree = NaryTree(EMPTY_LABEL, [Leaf("x", "T"), Leaf("y", "T")])
         with pytest.raises(LabelError):
             binarize(tree)
+
+    @pytest.mark.parametrize(
+        "label",
+        ["NP", "SBAR", "S-TPC-1", "NP=2", "PRP$", "Äσ", "X1", "",
+         EMPTY_LABEL, "S+VP", "+", "S (T", "a)", "(", "NP\t", "\u3000", "NP\xa0"],
+    )
+    def test_check_label_follows_the_rule(self, label):
+        # accepted exactly when binarize can join it into a chain and a
+        # bracketed tree can hold it as a token
+        good = (
+            CHAIN_SEPARATOR not in label
+            and label != EMPTY_LABEL
+            and token_problem(label) is None
+        )
+        if good:
+            assert check_label(label) == label
+        else:
+            with pytest.raises(LabelError):
+                check_label(label)
 
 
 class TestDebinarize:
@@ -246,22 +271,6 @@ class TestReadWalksMatchReference:
             assert all(a is b for a, b in zip(found, expected))
 
 
-def left_comb(depth: int) -> NaryTree:
-    """An n-ary tree whose every node has a subtree, then a leaf."""
-    node: NaryTree | Leaf = Leaf("w0", "NN")
-    for i in range(1, depth + 1):
-        node = NaryTree("S" if i % 2 else "NP", [node, Leaf(f"w{i}", "NN")])
-    return node
-
-
-def right_comb(depth: int) -> NaryTree:
-    """An n-ary tree whose every node has a leaf, then a subtree."""
-    node: NaryTree | Leaf = Leaf(f"w{depth}", "NN")
-    for i in range(depth - 1, -1, -1):
-        node = NaryTree("VP" if i % 2 else "S", [Leaf(f"w{i}", "NN"), node])
-    return node
-
-
 def binary_right_comb(depth: int) -> Internal:
     labels = cycle(("S", EMPTY_LABEL, "S+VP"))
     node = Terminal(f"w{depth}", "NN", "NP")
@@ -271,7 +280,7 @@ def binary_right_comb(depth: int) -> Internal:
 
 
 class TestEncodeWalksMatchReference:
-    """``binarize``, ``encode`` and ``extract_spans`` against the
+    """``binarize``, ``encode`` and ``scoring.read_tree`` against the
     implementations they replaced, kept in ``helpers`` as references."""
 
     @staticmethod
@@ -306,11 +315,16 @@ class TestEncodeWalksMatchReference:
         for tree in self.nary_cases():
             assert encode(binarize(tree)) == reference_encode(reference_binarize(tree))
 
-    def test_extract_spans(self):
+    def test_read_tree(self):
         for tree in self.nary_cases():
-            words, spans = extract_spans(tree)
-            assert words == [leaf.word for leaf in reference_leaves(tree)]
-            assert spans == reference_extract_spans(tree)
+            reading = read_tree(tree)
+            tup = reference_encode(reference_binarize(tree))
+            spans = reference_extract_spans(tree)
+            assert reading.words == [leaf.word for leaf in reference_leaves(tree)]
+            assert reading.spans == spans
+            assert reading.positions == Counter((s, e) for _, s, e in spans.elements())
+            assert reading.unary_labels == list(tup.unary_labels)
+            assert reading.split_labels == list(tup.split_labels)
 
     def test_flat_40k_constituent_binarizes_and_encodes_in_linear_time(self):
         tree = NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(40_000)])

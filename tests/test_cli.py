@@ -212,10 +212,17 @@ class TestEncodeDecode:
     @pytest.mark.parametrize(
         "split_label, unary_label, message",
         [
-            pytest.param("S+", "∅", "empty nonterminal label", id="split-S+"),
-            pytest.param("S", "NP+", "empty nonterminal label", id="unary-NP+"),
+            pytest.param(
+                "S+", "∅", "empty nonterminal label in chain 'S+'", id="split-S+"
+            ),
+            pytest.param(
+                "S", "NP+", "empty nonterminal label in chain 'NP+'", id="unary-NP+"
+            ),
             pytest.param("∅", "∅", "root carries the empty label", id="empty-root"),
             pytest.param("", "∅", "empty nonterminal label", id="split-empty-string"),
+            pytest.param(
+                "S (T", "∅", "label 'S (T' holds whitespace", id="split-S-paren-T"
+            ),
         ],
     )
     def test_label_encode_could_not_write_names_the_line(
@@ -239,6 +246,36 @@ class TestEncodeDecode:
         assert main(["decode", str(jsonl), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: decode: {jsonl}: line 2: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, token, message",
+        [
+            pytest.param("words", "a b", "item 0 holds whitespace: 'a b'", id="word-a-b"),
+            pytest.param(
+                "words", "a)", "item 0 holds a parenthesis: 'a)'", id="word-a-paren"
+            ),
+            pytest.param("words", "", "item 0 is empty: ''", id="word-empty"),
+            pytest.param("tags", "X Z", "item 0 holds whitespace: 'X Z'", id="tag-X-Z"),
+        ],
+    )
+    def test_token_a_bracketed_tree_cannot_hold_names_the_line(
+        self, tmp_path, capsys, field, token, message
+    ):
+        record = {
+            "words": ["a", "b"],
+            "tags": ["X", "Y"],
+            "unary_labels": ["∅", "∅"],
+            "distances": [1.0],
+            "split_labels": ["S"],
+        }
+        jsonl = tmp_path / "tokens.jsonl"
+        bad = dict(record, **{field: [token, "b"]})
+        jsonl.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "tokens.mrg"
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: decode: {jsonl}: line 2: field '{field}' {message}\n"
         assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, capsys):
@@ -533,6 +570,28 @@ class TestTrainPredictScore:
         assert main(["score", str(a), str(b)]) == 1
         assert "sentence 0" in capsys.readouterr().err
 
+    def test_score_error_precedence(self, tmp_path, capsys):
+        # a leaf mismatch in any sentence wins over a label binarize
+        # rejects; a bad gold label wins over a bad predicted one
+        gold = tmp_path / "gold.mrg"
+        pred = tmp_path / "pred.mrg"
+        gold.write_text("(S+X (NN a) (NN b))\n(S (NN c))\n")
+        pred.write_text("(S (∅ (NN a)) (NN b))\n(S (NN OTHER))\n")
+        assert main(["score", str(gold), str(pred)]) == 1
+        assert capsys.readouterr().err == "error: score: leaf mismatch in sentence 1\n"
+
+        pred.write_text("(S (∅ (NN a)) (NN b))\n(S (NN c))\n")
+        assert main(["score", str(gold), str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            "error: score: label 'S+X' contains the chain separator '+'\n"
+        )
+
+        gold.write_text("(S (NN a) (NN b))\n(S (NN c))\n")
+        assert main(["score", str(gold), str(pred), "--json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: score: label '∅' collides with the empty-label marker\n"
+        )
+
     def test_bad_checkpoint_fails_cleanly(self, tmp_path, mini_treebank, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
@@ -591,7 +650,10 @@ class TestTrainPredictScore:
         argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"error: checkpoint: {ckpt}: empty nonterminal label\n"
+        assert err == (
+            f"error: checkpoint: {ckpt}: vocab.{field}: "
+            "empty nonterminal label in chain 'NP+'\n"
+        )
         assert not out.exists()
 
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
