@@ -3,13 +3,15 @@
 Binarization is reversible: unary chains collapse into ``+``-joined atomic
 labels, nodes introduced while splitting n-ary constituents are labeled
 with the empty label, and a unary chain that bottoms out at a single word
-is stored on that word's terminal.
+is stored on that word's terminal. One walk, :func:`read_tree`, states
+this rule and gives each split its score; :func:`binarize` decodes those
+scores, and :func:`debinarize` inverts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
 
@@ -66,60 +68,115 @@ def check_label(label: str) -> str:
     return label
 
 
-def _collapse_chain(node: NaryTree) -> tuple[str, NaryTree | Leaf]:
-    """Walk down a maximal unary chain, returning the joined label and the
-    node the chain bottoms out at (a leaf, or a node with >=2 children)."""
-    labels = [check_label(node.label)]
-    current: Tree = node
+class TreeReading(NamedTuple):
+    """What one walk of :func:`read_tree` reads of an n-ary tree."""
+
+    words: list[str]
+    tags: list[str]
+    # the multiset of the (label, start, end) spans of the internal nodes,
+    # end exclusive, as counts
+    spans: dict[tuple[str, int, int], int]
+    # the multiset of their (start, end) positions
+    positions: dict[tuple[int, int], int]
+    # the labels binarization puts on the terminals (one per word) and on
+    # the split points (one per split), and the scores of the splits, in
+    # the order a DistanceTuple lists them
+    unary_labels: list[str]
+    split_labels: list[str]
+    distances: list[float]
+    # the first label binarization rejects, in pre-order, or None
+    label_error: LabelError | None
+
+
+def read_tree(tree: Tree) -> TreeReading:
+    """Read a tree's words, tags, spans, labels and split scores in one
+    iterative pre-order walk.
+
+    A maximal unary chain is joined with ``+``. A node with several
+    children splits after each child but the last, on a right comb: its
+    first split carries the node's chain label and every later one ``∅``.
+    A chain that ends on a word becomes that word's unary label. A word
+    scores 0, and a split one above the taller of its left child and the
+    comb to its right. The first label :func:`check_label` rejects is
+    returned, not raised, so a caller can finish the walk. Preterminals
+    are not spans; a bare-leaf tree therefore has none.
+    """
+    words: list[str] = []
+    tags: list[str] = []
+    unary: list[str] = []
+    splits: list[str] = []
+    distances: list[float] = []
+    spans: dict[tuple[str, int, int], int] = {}
+    # one entry per unary chain: only the nodes of a chain share a position
+    positions: dict[tuple[int, int], int] = {}
+    error = None
+    # open constituents: [chain labels, start, unvisited children, label
+    # of the split before the next child, indices of the splits so far]
+    stack: list[list] = []
+    node = tree
     while True:
-        assert isinstance(current, NaryTree)
-        if len(current.children) != 1:
-            return CHAIN_SEPARATOR.join(labels), current
-        child = current.children[0]
-        if isinstance(child, Leaf):
-            return CHAIN_SEPARATOR.join(labels), child
-        labels.append(check_label(child.label))
-        current = child
+        # read the unary chain down from node: it ends on a word or on a
+        # node with several children
+        chain = []
+        while not isinstance(node, Leaf):
+            label = node.label
+            try:
+                check_label(label)
+            except LabelError as exc:
+                if error is None:
+                    error = exc
+            chain.append(label)
+            if len(node.children) != 1:
+                children = iter(node.children)
+                split = CHAIN_SEPARATOR.join(chain)
+                stack.append([chain, len(words), children, split, []])
+                node = next(children)
+                break
+            node = node.children[0]
+        else:
+            start = len(words)
+            words.append(node.word)
+            tags.append(node.tag)
+            unary.append(CHAIN_SEPARATOR.join(chain) if chain else EMPTY_LABEL)
+            height = 0.0
+            # count the chain over the word, then close the finished
+            # constituents up to the next unvisited child
+            while True:
+                if chain:
+                    end = len(words)
+                    for label in chain:
+                        span = (label, start, end)
+                        spans[span] = spans.get(span, 0) + 1
+                    positions[start, end] = len(chain)
+                if not stack:
+                    return TreeReading(
+                        words, tags, spans, positions, unary, splits, distances, error
+                    )
+                top = stack[-1]
+                node = next(top[2], None)
+                if node is not None:
+                    # the split's score waits for the comb to its right;
+                    # until then its slot holds the height to its left
+                    top[4].append(len(distances))
+                    distances.append(height)
+                    splits.append(top[3])
+                    top[3] = EMPTY_LABEL
+                    break
+                stack.pop()
+                chain, start, _, _, slots = top
+                # right to left up the comb, from the last child's height
+                for index in reversed(slots):
+                    height = distances[index] = max(distances[index], height) + 1.0
 
 
 def binarize(tree: Tree) -> BinaryTree:
-    """Convert an n-ary tree into an equivalent strictly binary tree.
+    """Convert an n-ary tree into an equivalent strictly binary tree: the
+    decode of the scores :func:`read_tree` gives it. Raises
+    :class:`LabelError` for the first label, in pre-order, that cannot be
+    encoded reversibly."""
+    from .codec import decode_stack, encode_tree  # codec imports this module
 
-    Nodes with more than two children are split after their first child,
-    repeatedly; every introduced node gets the empty label and the original
-    label stays on top. Built top-down, in pre-order, left to right; raises
-    :class:`LabelError` for the first label that cannot be encoded
-    reversibly.
-    """
-    holder = Internal(EMPTY_LABEL, None, None)
-    # (n-ary subtree, binary parent, fills the parent's left slot)
-    work: list[tuple[Tree, Internal, bool]] = [(tree, holder, True)]
-    while work:
-        node, parent, is_left = work.pop()
-        if isinstance(node, Leaf):
-            binary: BinaryTree = Terminal(node.word, node.tag)
-        else:
-            chain, bottom = _collapse_chain(node)
-            if isinstance(bottom, Leaf):
-                binary = Terminal(bottom.word, bottom.tag, chain)
-            else:
-                # the labeled node over a right comb of empty-labeled ones,
-                # each child queued for the slot it fills
-                children = bottom.children
-                binary = slot = Internal(chain, None, None)
-                queued = [(children[0], slot, True)]
-                for child in children[1:-1]:
-                    slot.right = Internal(EMPTY_LABEL, None, None)
-                    slot = slot.right
-                    queued.append((child, slot, True))
-                queued.append((children[-1], slot, False))
-                queued.reverse()  # so the first child comes off first
-                work += queued
-        if is_left:
-            parent.left = binary
-        else:
-            parent.right = binary
-    return holder.left
+    return decode_stack(encode_tree(tree))
 
 
 def split_chain(label: str) -> list[str]:

@@ -3,8 +3,9 @@
 A sentence of ``n`` words has ``n - 1`` split points. :func:`encode` maps a
 binary tree to one real score per split point (the height of the internal
 node sitting over that split, collected left to right) plus the node and
-word labels. :func:`decode` rebuilds the tree by recursively splitting at
-the highest-scoring point of each span; only the *ranking* of the scores
+word labels; :func:`encode_tree` gives the same tuple for an n-ary tree.
+:func:`decode` rebuilds the tree by recursively splitting at the
+highest-scoring point of each span; only the *ranking* of the scores
 matters, so any vector ordering the splits the same way yields the same
 tree.
 
@@ -30,8 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .binarize import BinaryTree, Internal, Terminal
-from .trees import BREAKS_TOKEN, token_problem
+from .binarize import BinaryTree, Internal, Terminal, read_tree
+from .trees import BREAKS_TOKEN, Tree, token_problem
 
 @dataclass(frozen=True)
 class DistanceTuple:
@@ -104,6 +105,22 @@ def encode(tree: BinaryTree) -> DistanceTuple:
             heights[-1] = distances[item] = max(heights[-1], right) + 1.0
     return DistanceTuple(
         tuple(words), tuple(tags), tuple(unary), tuple(distances), tuple(split_labels)
+    )
+
+
+def encode_tree(tree: Tree) -> DistanceTuple:
+    """``encode(binarize(tree))`` of an n-ary tree, read off it by
+    :func:`~distparse.binarize.read_tree` without building the binary tree;
+    raises the first label error in pre-order, as ``binarize`` does."""
+    reading = read_tree(tree)
+    if reading.label_error is not None:
+        raise reading.label_error
+    return DistanceTuple(
+        tuple(reading.words),
+        tuple(reading.tags),
+        tuple(reading.unary_labels),
+        tuple(reading.distances),
+        tuple(reading.split_labels),
     )
 
 

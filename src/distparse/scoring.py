@@ -6,18 +6,18 @@ node (the root included, preterminals excluded) contributes one
 ``(label, start, end)`` span, spans are matched as multisets, and no
 punctuation exclusion or label-equivalence rules are applied. The label
 accuracies compare, position by position, the labels the parser predicts:
-the ones :func:`~distparse.binarize.binarize` puts on the words and on the
-split points.
+the ones binarization puts on the words and on the split points. Each tree
+is read once by :func:`~distparse.binarize.read_tree`, the walk that also
+encodes trees, so scoring restates none of the binarization rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import eq
-from typing import NamedTuple
 
-from .binarize import CHAIN_SEPARATOR, EMPTY_LABEL, LabelError, check_label
-from .trees import Leaf, Tree
+from .binarize import TreeReading, read_tree
+from .trees import Tree
 
 
 class EvaluationError(ValueError):
@@ -49,7 +49,7 @@ class EvalCounts:
             self.splits + other.splits,
         )
 
-    def add_pair(self, gold: "TreeReading", pred: "TreeReading") -> None:
+    def add_pair(self, gold: TreeReading, pred: TreeReading) -> None:
         """Count one sentence whose gold and predicted words agree."""
         self.matched_labeled += _common(gold.spans, pred.spans)
         self.matched_unlabeled += _common(gold.positions, pred.positions)
@@ -65,96 +65,6 @@ def _common(a: dict, b: dict) -> int:
     """The size of the intersection of two multisets held as counts."""
     keys = a.keys() & b.keys()
     return sum(map(min, map(a.__getitem__, keys), map(b.__getitem__, keys)))
-
-
-class TreeReading(NamedTuple):
-    """What scoring needs of one tree, read in one walk."""
-
-    words: list[str]
-    # the multiset of the (label, start, end) spans of the internal nodes,
-    # end exclusive, as counts
-    spans: dict[tuple[str, int, int], int]
-    # the multiset of their (start, end) positions
-    positions: dict[tuple[int, int], int]
-    # the labels binarize puts on the terminals (one per word) and on the
-    # split points (one per split), in the order encode lists them
-    unary_labels: list[str]
-    split_labels: list[str]
-    # the first label binarize rejects, in pre-order, or None
-    label_error: LabelError | None
-
-
-def read_tree(tree: Tree) -> TreeReading:
-    """Read a tree's words, spans, unary labels and split labels in one
-    iterative pre-order walk.
-
-    The labels are the ones ``encode(binarize(tree))`` holds: a maximal
-    unary chain is joined with ``+``; the first split of a node with two or
-    more children carries the node's chain label and every later split
-    ``∅``; a chain that ends on a word becomes that word's unary label.
-    Every label is checked as :func:`binarize` checks it, in the same
-    order, but the first bad one is returned rather than raised, so a
-    caller can finish the walk. Preterminals are not spans; a bare-leaf
-    tree therefore has none.
-    """
-    words: list[str] = []
-    unary: list[str] = []
-    splits: list[str] = []
-    spans: dict[tuple[str, int, int], int] = {}
-    # one entry per unary chain: only the nodes of a chain share a position
-    positions: dict[tuple[int, int], int] = {}
-    error = None
-    # open constituents: [chain labels, start, unvisited children, label
-    # of the split before the next child]
-    stack: list[list] = []
-    node = tree
-    while True:
-        # read the unary chain down from node: it ends on a word or on a
-        # node with several children
-        chain = []
-        while not isinstance(node, Leaf):
-            label = node.label
-            try:
-                check_label(label)
-            except LabelError as exc:
-                if error is None:
-                    error = exc
-            chain.append(label)
-            if len(node.children) != 1:
-                children = iter(node.children)
-                split = CHAIN_SEPARATOR.join(chain)
-                stack.append([chain, len(words), children, split])
-                node = next(children)
-                break
-            node = node.children[0]
-        else:
-            start = len(words)
-            words.append(node.word)
-            if chain:
-                unary.append(CHAIN_SEPARATOR.join(chain))
-                for label in chain:
-                    span = (label, start, start + 1)
-                    spans[span] = spans.get(span, 0) + 1
-                positions[start, start + 1] = len(chain)
-            else:
-                unary.append(EMPTY_LABEL)
-            # close the finished constituents up to the next unvisited child
-            while stack:
-                top = stack[-1]
-                node = next(top[2], None)
-                if node is not None:
-                    splits.append(top[3])
-                    top[3] = EMPTY_LABEL
-                    break
-                stack.pop()
-                chain, start, _, _ = top
-                end = len(words)
-                for label in chain:
-                    span = (label, start, end)
-                    spans[span] = spans.get(span, 0) + 1
-                positions[start, end] = len(chain)
-            else:
-                return TreeReading(words, spans, positions, unary, splits, error)
 
 
 def _prf(matched: int, gold_total: int, pred_total: int) -> tuple[float, float, float]:

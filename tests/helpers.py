@@ -16,7 +16,7 @@ from distparse.binarize import (
     Internal,
     StructureError,
     Terminal,
-    _collapse_chain,
+    check_label,
 )
 from distparse.codec import DistanceTuple
 from distparse.trees import Leaf, NaryTree, serialize_bracketed
@@ -234,7 +234,9 @@ def write_treebank(trees, path) -> None:
 # replaced: the post-order folds of debinarize and binarize, the two-pass
 # serializer and encoder, the span walk that left the words to a second
 # walk, and the label accuracy that scoring read off encoded tuples. The
-# property tests require the library's versions to equal these.
+# property tests require the library's versions to equal these. Only the
+# label check (``check_label``, tested on its own) is shared with the
+# library, so a reference reports the same message for the same label.
 
 
 def reference_debinarize(tree):
@@ -315,6 +317,21 @@ def reference_leaves(tree) -> list:
     return found
 
 
+def reference_collapse_chain(node):
+    """Walk down a maximal unary chain, returning the joined label and the
+    node the chain bottoms out at (a leaf, or a node with >=2 children)."""
+    labels = [check_label(node.label)]
+    current = node
+    while True:
+        if len(current.children) != 1:
+            return CHAIN_SEPARATOR.join(labels), current
+        child = current.children[0]
+        if isinstance(child, Leaf):
+            return CHAIN_SEPARATOR.join(labels), child
+        labels.append(check_label(child.label))
+        current = child
+
+
 def reference_binarize(tree):
     results = []
     # ("visit", tree) expands a node; ("combine", label, k) folds the top k
@@ -327,7 +344,7 @@ def reference_binarize(tree):
             if isinstance(node, Leaf):
                 results.append(Terminal(node.word, node.tag))
                 continue
-            chain, bottom = _collapse_chain(node)
+            chain, bottom = reference_collapse_chain(node)
             if isinstance(bottom, Leaf):
                 results.append(Terminal(bottom.word, bottom.tag, chain))
             else:

@@ -16,9 +16,9 @@ from distparse.binarize import (
     binarize,
     check_label,
     debinarize,
+    read_tree,
 )
-from distparse.codec import binary_trees_equal, encode
-from distparse.scoring import read_tree
+from distparse.codec import binary_trees_equal, encode, encode_tree
 from distparse.trees import (
     Leaf,
     NaryTree,
@@ -280,8 +280,9 @@ def binary_right_comb(depth: int) -> Internal:
 
 
 class TestEncodeWalksMatchReference:
-    """``binarize``, ``encode`` and ``scoring.read_tree`` against the
-    implementations they replaced, kept in ``helpers`` as references."""
+    """``read_tree``, ``encode_tree``, ``encode`` and ``binarize`` (the
+    decode of ``encode_tree``) against the implementations they replaced,
+    kept in ``helpers`` as references."""
 
     @staticmethod
     def nary_cases() -> list:
@@ -315,28 +316,41 @@ class TestEncodeWalksMatchReference:
         for tree in self.nary_cases():
             assert encode(binarize(tree)) == reference_encode(reference_binarize(tree))
 
+    def test_encode_tree(self):
+        for tree in self.nary_cases():
+            assert encode_tree(tree) == reference_encode(reference_binarize(tree))
+
     def test_read_tree(self):
         for tree in self.nary_cases():
             reading = read_tree(tree)
             tup = reference_encode(reference_binarize(tree))
             spans = reference_extract_spans(tree)
-            assert reading.words == [leaf.word for leaf in reference_leaves(tree)]
+            found = reference_leaves(tree)
+            assert reading.words == [leaf.word for leaf in found]
+            assert reading.tags == [leaf.tag for leaf in found]
             assert reading.spans == spans
             assert reading.positions == Counter((s, e) for _, s, e in spans.elements())
             assert reading.unary_labels == list(tup.unary_labels)
             assert reading.split_labels == list(tup.split_labels)
+            assert reading.distances == list(tup.distances)
 
     def test_flat_40k_constituent_binarizes_and_encodes_in_linear_time(self):
         tree = NaryTree("S", [Leaf(f"w{i}", "NN") for i in range(40_000)])
+        expected = tuple(float(40_000 - i) for i in range(1, 40_000))
         start = time.perf_counter()
         tup = encode(binarize(tree))
         elapsed = time.perf_counter() - start
-        assert tup.distances == tuple(float(40_000 - i) for i in range(1, 40_000))
+        assert tup.distances == expected
         assert elapsed < 1.0, f"binarize and encode took {elapsed:.2f} s"
+        start = time.perf_counter()
+        tup = encode_tree(tree)
+        elapsed = time.perf_counter() - start
+        assert tup.distances == expected
+        assert elapsed < 1.0, f"encode_tree took {elapsed:.2f} s"
 
     def test_first_label_error_is_the_references(self):
-        # two bad labels per tree, at random internal nodes: binarize must
-        # report the same one the reference visits first
+        # two bad labels per tree, at random internal nodes: binarize and
+        # encode_tree must report the same one the reference visits first
         rng = np.random.default_rng(709)
         checked = 0
         for _ in range(300):
@@ -355,8 +369,9 @@ class TestEncodeWalksMatchReference:
             internal[second].label = EMPTY_LABEL if rng.random() < 0.5 else "B+2"
             with pytest.raises(LabelError) as expected:
                 reference_binarize(tree)
-            with pytest.raises(LabelError) as found:
-                binarize(tree)
-            assert str(found.value) == str(expected.value)
+            for walk in (binarize, encode_tree):
+                with pytest.raises(LabelError) as found:
+                    walk(tree)
+                assert str(found.value) == str(expected.value)
             checked += 1
         assert checked > 200

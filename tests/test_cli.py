@@ -18,6 +18,12 @@ from distparse.trees import (
 from helpers import MALFORMED_TREEBANKS, write_treebank
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
+# the encode output of SAMPLE, committed so that any change to it shows
+SAMPLE_JSONL = Path(__file__).resolve().parent / "data" / "sample_treebank.jsonl"
+# the third tree holds a label encode rejects; the second, of traces only,
+# is dropped by preprocessing but still counts as a tree read
+BAD_LABEL_TREEBANK = "(S (NN a))\n(S (NP (-NONE- *)))\n(S+ (NN b) (NN c))\n"
+BAD_LABEL_MESSAGE = "tree 3: label 'S+' contains the chain separator '+'"
 # a model small enough to train on anything in a test
 SMALL_MODEL = "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
 
@@ -67,6 +73,20 @@ class TestEncodeDecode:
             assert main(["decode", str(jsonl), "--engine", engine, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_sample_treebank_encodes_to_the_committed_jsonl(self, tmp_path):
+        jsonl = tmp_path / "sample.jsonl"
+        assert main(["encode", str(SAMPLE), "--out", str(jsonl)]) == 0
+        assert jsonl.read_bytes() == SAMPLE_JSONL.read_bytes()
+
+    def test_label_encode_rejects_names_the_file_and_tree(self, tmp_path, capsys):
+        src = tmp_path / "labels.mrg"
+        src.write_text(BAD_LABEL_TREEBANK)
+        out = tmp_path / "labels.jsonl"
+        assert main(["encode", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: encode: {src}: {BAD_LABEL_MESSAGE}\n"
+        assert not out.exists()
 
     def test_jsonl_shape(self, tmp_path):
         jsonl = tmp_path / "sample.jsonl"
@@ -344,6 +364,15 @@ class TestRoundtripCommand:
         assert main(["roundtrip", str(SAMPLE)]) == 0
         assert "25 trees, 0 mismatches" in capsys.readouterr().out
 
+    def test_label_encode_rejects_names_the_file_and_tree(self, tmp_path, capsys):
+        src = tmp_path / "labels.mrg"
+        src.write_text(BAD_LABEL_TREEBANK)
+        assert main(["roundtrip", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: roundtrip: {src}: {BAD_LABEL_MESSAGE}\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["labels.mrg"]
+
     def test_single_word_corpus(self, tmp_path, capsys):
         path = tmp_path / "one.mrg"
         path.write_text("(INTJ (UH Yes))\n")
@@ -408,6 +437,21 @@ class TestTrainPredictScore:
         payload = json.loads(report.read_text())
         assert 0.0 <= payload["labeled"]["f1"] <= 100.0
         assert payload["labeled"]["f1"] <= payload["unlabeled"]["f1"] + 1e-9
+
+    @pytest.mark.parametrize("bad_file", ["train", "dev"])
+    def test_label_encode_rejects_names_the_file_and_tree(
+        self, tmp_path, mini_treebank, capsys, bad_file
+    ):
+        bad = tmp_path / "labels.mrg"
+        bad.write_text(BAD_LABEL_TREEBANK)
+        files = {"train": mini_treebank, "dev": mini_treebank, bad_file: bad}
+        ckpt, metrics = tmp_path / "model.json", tmp_path / "metrics.jsonl"
+        argv = ["train", "--train", str(files["train"]), "--dev", str(files["dev"])]
+        argv += ["--epochs", "1", "--out", str(ckpt), "--metrics", str(metrics)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: train: {bad}: {BAD_LABEL_MESSAGE}\n"
+        assert not ckpt.exists() and not metrics.exists()
 
     def test_same_seed_gives_identical_metrics(self, tmp_path, mini_treebank):
         ckpt = tmp_path / "model.json"

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from distparse import pcfg
-from distparse.binarize import EMPTY_LABEL, LabelError, binarize
-from distparse.codec import encode
+from distparse.binarize import EMPTY_LABEL, LabelError
 from distparse.scoring import (
     EvalCounts,
     EvaluationError,
@@ -18,6 +17,8 @@ from distparse.trees import Leaf, NaryTree, parse_bracketed, preprocess
 from helpers import (
     left_comb,
     random_nary_tree,
+    reference_binarize,
+    reference_encode,
     reference_extract_spans,
     reference_label_accuracy,
     reference_leaves,
@@ -127,7 +128,7 @@ class TestReadTree:
         # and a flat 40k-child constituent
         for tree in reading_cases():
             reading = read_tree(tree)
-            tup = encode(binarize(tree))
+            tup = reference_encode(reference_binarize(tree))
             spans = reference_extract_spans(tree)
             assert reading.words == [leaf.word for leaf in reference_leaves(tree)]
             assert reading.words == list(tup.words)
@@ -139,7 +140,8 @@ class TestReadTree:
 
     def test_first_label_error_is_binarizes(self):
         # two bad labels per tree, at random internal nodes: the reading
-        # holds the one binarize reports, and the rest of the walk
+        # holds the one the reference binarize reports, and the rest of
+        # the walk
         rng = np.random.default_rng(814)
         checked = 0
         for _ in range(300):
@@ -157,7 +159,7 @@ class TestReadTree:
             internal[first].label = "A+1"
             internal[second].label = EMPTY_LABEL if rng.random() < 0.5 else "B+2"
             with pytest.raises(LabelError) as expected:
-                binarize(tree)
+                reference_binarize(tree)
             reading = read_tree(tree)
             assert str(reading.label_error) == str(expected.value)
             assert reading.spans == reference_extract_spans(tree)
@@ -250,7 +252,8 @@ class TestLabelAccuracies:
     computation, kept in ``helpers`` as the reference."""
 
     def tuples_of(self, *texts):
-        return [encode(binarize(parse_bracketed(t)[0])) for t in texts]
+        trees = [parse_bracketed(t)[0] for t in texts]
+        return [reference_encode(reference_binarize(tree)) for tree in trees]
 
     def test_identical_tuples(self):
         text = "(S (NP (PRP She)) (VP (VBZ runs)))"
@@ -306,8 +309,8 @@ class TestLabelAccuracies:
                 n = int(rng.integers(1, 12))
                 golds.append(random_nary_tree(rng, n, unary_prob=0.4))
                 preds.append(random_nary_tree(rng, n, unary_prob=0.4))
-            gold_tuples = [encode(binarize(tree)) for tree in golds]
-            pred_tuples = [encode(binarize(tree)) for tree in preds]
+            gold_tuples = [reference_encode(reference_binarize(tree)) for tree in golds]
+            pred_tuples = [reference_encode(reference_binarize(tree)) for tree in preds]
             report = score(golds, preds)
             assert report.word_label_accuracy == reference_label_accuracy(
                 gold_tuples, pred_tuples, "unary_labels"
