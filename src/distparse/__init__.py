@@ -31,6 +31,7 @@ from .trees import (
     TreebankError,
     parse_bracketed,
     preprocess,
+    read_treebank,
     serialize_bracketed,
 )
 
@@ -55,5 +56,6 @@ __all__ = [
     "TreebankError",
     "parse_bracketed",
     "preprocess",
+    "read_treebank",
     "serialize_bracketed",
 ]

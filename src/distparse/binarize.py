@@ -73,11 +73,9 @@ class TreeReading(NamedTuple):
 
     words: list[str]
     tags: list[str]
-    # the multiset of the (label, start, end) spans of the internal nodes,
-    # end exclusive, as counts
-    spans: dict[tuple[str, int, int], int]
-    # the multiset of their (start, end) positions
-    positions: dict[tuple[int, int], int]
+    # each maximal unary chain of internal nodes as (its labels, top first;
+    # start; end exclusive), in the order the chains close
+    constituents: list[tuple[list[str], int, int]]
     # the labels binarization puts on the terminals (one per word) and on
     # the split points (one per split), and the scores of the splits, in
     # the order a DistanceTuple lists them
@@ -89,8 +87,8 @@ class TreeReading(NamedTuple):
 
 
 def read_tree(tree: Tree) -> TreeReading:
-    """Read a tree's words, tags, spans, labels and split scores in one
-    iterative pre-order walk.
+    """Read a tree's words, tags, constituents, labels and split scores in
+    one iterative pre-order walk.
 
     A maximal unary chain is joined with ``+``. A node with several
     children splits after each child but the last, on a right comb: its
@@ -99,16 +97,14 @@ def read_tree(tree: Tree) -> TreeReading:
     scores 0, and a split one above the taller of its left child and the
     comb to its right. The first label :func:`check_label` rejects is
     returned, not raised, so a caller can finish the walk. Preterminals
-    are not spans; a bare-leaf tree therefore has none.
+    are not constituents; a bare-leaf tree therefore has none.
     """
     words: list[str] = []
     tags: list[str] = []
     unary: list[str] = []
     splits: list[str] = []
     distances: list[float] = []
-    spans: dict[tuple[str, int, int], int] = {}
-    # one entry per unary chain: only the nodes of a chain share a position
-    positions: dict[tuple[int, int], int] = {}
+    constituents: list[tuple[list[str], int, int]] = []
     error = None
     # open constituents: [chain labels, start, unvisited children, label
     # of the split before the next child, indices of the splits so far]
@@ -139,18 +135,14 @@ def read_tree(tree: Tree) -> TreeReading:
             tags.append(node.tag)
             unary.append(CHAIN_SEPARATOR.join(chain) if chain else EMPTY_LABEL)
             height = 0.0
-            # count the chain over the word, then close the finished
+            # hand over the chain over the word, then close the finished
             # constituents up to the next unvisited child
             while True:
                 if chain:
-                    end = len(words)
-                    for label in chain:
-                        span = (label, start, end)
-                        spans[span] = spans.get(span, 0) + 1
-                    positions[start, end] = len(chain)
+                    constituents.append((chain, start, len(words)))
                 if not stack:
                     return TreeReading(
-                        words, tags, spans, positions, unary, splits, distances, error
+                        words, tags, constituents, unary, splits, distances, error
                     )
                 top = stack[-1]
                 node = next(top[2], None)

@@ -22,15 +22,8 @@ from dataclasses import asdict, fields
 
 from . import __version__, bench, codec, model, scoring, train as training
 from .binarize import LabelError, debinarize
-from .trees import (
-    NONE_TAG,
-    Tree,
-    TreebankError,
-    leaves,
-    parse_bracketed,
-    preprocess,
-    serialize_bracketed,
-)
+from .codec import encode_tree
+from .trees import Tree, TreebankError, leaves, read_treebank, serialize_bracketed
 
 
 class CliError(Exception):
@@ -78,51 +71,33 @@ def _write_sidecar(out: str | None, metadata: dict) -> None:
     _write_text(out + ".run.json", json.dumps(metadata, indent=2) + "\n")
 
 
-def _load_sentences(path: str, kind: str, then=preprocess) -> tuple[list, int]:
-    """treebank file -> (``then(tree)`` of each tree read, count of trees
-    dropped because ``then`` gave ``None``). The default keeps each tree
-    cleaned by :func:`preprocess`, which empties a tree of only ``-NONE-``
-    leaves. A label ``then`` rejects fails as ``error: <kind>: <path>:
-    tree N: …``, counting the trees read from 1."""
+def _load_sentences(path: str, kind: str, then=None) -> tuple[list, int]:
+    """treebank file -> (each tree read, preprocessed by
+    :func:`~distparse.trees.read_treebank`, or ``then`` of it; count of
+    trees preprocessing emptied, which are dropped). A label ``then``
+    rejects fails as ``error: <kind>: <path>: tree N: …``, counting every
+    tree read from 1."""
     try:
-        trees = parse_bracketed(_read_text(path))
+        trees = read_treebank(_read_text(path))
     except TreebankError as exc:
         raise CliError("parse", f"{path}: {exc}")
     kept = []
     for number, tree in enumerate(trees, start=1):
-        try:
-            item = then(tree)
-        except LabelError as exc:
-            raise CliError(kind, f"{path}: tree {number}: {exc}")
-        if item is not None:
-            kept.append(item)
+        if tree is not None:
+            try:
+                kept.append(tree if then is None else then(tree))
+            except LabelError as exc:
+                raise CliError(kind, f"{path}: tree {number}: {exc}")
     return kept, len(trees) - len(kept)
 
 
-def _encode(tree: Tree) -> codec.DistanceTuple | None:
-    """The tuple of the preprocessed tree, or ``None`` if nothing is left."""
-    cleaned = preprocess(tree)
-    return None if cleaned is None else codec.encode_tree(cleaned)
-
-
-def _tree_and_tuple(tree: Tree) -> tuple[Tree, codec.DistanceTuple] | None:
-    """The preprocessed tree and its tuple, or ``None`` if nothing is left."""
-    cleaned = preprocess(tree)
-    return None if cleaned is None else (cleaned, codec.encode_tree(cleaned))
-
-
-def _words_and_tags(tree: Tree) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """The words and tags of the preprocessed tree, read off the raw one:
-    its leaves less the ``-NONE-`` ones, which :func:`preprocess` drops
-    with any node they leave empty. ``None`` if no leaf is left."""
-    found = [leaf for leaf in leaves(tree) if leaf.tag != NONE_TAG]
-    if not found:
-        return None
+def _words_and_tags(tree: Tree) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    found = leaves(tree)
     return tuple([leaf.word for leaf in found]), tuple([leaf.tag for leaf in found])
 
 
 def cmd_encode(args) -> int:
-    tuples, skipped = _load_sentences(args.input, "encode", _encode)
+    tuples, skipped = _load_sentences(args.input, "encode", encode_tree)
     lines = "".join(codec.to_json_line(tup) + "\n" for tup in tuples)
     _write_text(args.out, lines)
     metadata = _run_metadata(args, "encode")
@@ -151,7 +126,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    pairs, _ = _load_sentences(args.input, "roundtrip", _tree_and_tuple)
+    pairs, _ = _load_sentences(
+        args.input, "roundtrip", lambda tree: (tree, encode_tree(tree))
+    )
     mismatches = []
     for index, (tree, tup) in enumerate(pairs):
         reference = serialize_bracketed(tree)
@@ -215,9 +192,9 @@ def _numeric_warnings_off():
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    train_tuples, skipped_train = _load_sentences(args.train, "train", _encode)
+    train_tuples, skipped_train = _load_sentences(args.train, "train", encode_tree)
     dev_tuples, skipped_dev = (
-        _load_sentences(args.dev, "train", _encode) if args.dev else ([], 0)
+        _load_sentences(args.dev, "train", encode_tree) if args.dev else ([], 0)
     )
     if not train_tuples:
         raise CliError("train", f"no usable trees in {args.train}")

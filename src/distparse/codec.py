@@ -357,16 +357,23 @@ def _list_field(record: dict, name: str, allowed: frozenset, kind: str) -> list:
 
 def _token_field(record: dict, name: str) -> list[str]:
     """``record[name]``, checked to be a list of strings that a bracketed
-    tree can hold as words or tags. One search of their join finds whether
-    any token holds whitespace or a parenthesis."""
+    tree can hold as words or tags, in one pass: the join of the items
+    fails on one that is not a string, and one search of it finds any
+    whitespace or parenthesis. A field that fails is read again for the
+    message."""
+    values = record.get(name)
+    try:
+        if type(values) is list and "" not in values:
+            if BREAKS_TOKEN.search("".join(values)) is None:
+                return values
+    except TypeError:  # an item that is not a string
+        pass
     values = _list_field(record, name, _STRING, "strings")
-    if "" in values or BREAKS_TOKEN.search("".join(values)) is not None:
-        index = next(i for i, value in enumerate(values) if token_problem(value))
-        raise ValueError(
-            f"field {name!r} item {index} {token_problem(values[index])}: "
-            f"{values[index]!r}"
-        )
-    return values
+    index = next(i for i, value in enumerate(values) if token_problem(value))
+    raise ValueError(
+        f"field {name!r} item {index} {token_problem(values[index])}: "
+        f"{values[index]!r}"
+    )
 
 
 def from_json_line(line: str) -> DistanceTuple:

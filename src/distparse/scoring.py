@@ -51,14 +51,31 @@ class EvalCounts:
 
     def add_pair(self, gold: TreeReading, pred: TreeReading) -> None:
         """Count one sentence whose gold and predicted words agree."""
-        self.matched_labeled += _common(gold.spans, pred.spans)
-        self.matched_unlabeled += _common(gold.positions, pred.positions)
-        self.gold_total += sum(gold.spans.values())
-        self.pred_total += sum(pred.spans.values())
+        gold_spans, gold_positions = span_counts(gold)
+        pred_spans, pred_positions = span_counts(pred)
+        self.matched_labeled += _common(gold_spans, pred_spans)
+        self.matched_unlabeled += _common(gold_positions, pred_positions)
+        self.gold_total += sum(gold_spans.values())
+        self.pred_total += sum(pred_spans.values())
         self.matched_word_labels += sum(map(eq, gold.unary_labels, pred.unary_labels))
         self.words += len(gold.unary_labels)
         self.matched_split_labels += sum(map(eq, gold.split_labels, pred.split_labels))
         self.splits += len(gold.split_labels)
+
+
+def span_counts(reading: TreeReading) -> tuple[dict, dict]:
+    """The multiset of the ``(label, start, end)`` spans of a tree's
+    internal nodes, end exclusive, and the multiset of their ``(start,
+    end)`` positions, each as counts."""
+    spans: dict[tuple[str, int, int], int] = {}
+    positions: dict[tuple[int, int], int] = {}
+    for chain, start, end in reading.constituents:
+        for label in chain:
+            span = (label, start, end)
+            spans[span] = spans.get(span, 0) + 1
+        # only the nodes of one unary chain share a position
+        positions[start, end] = len(chain)
+    return spans, positions
 
 
 def _common(a: dict, b: dict) -> int:

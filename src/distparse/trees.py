@@ -3,6 +3,10 @@
 Trees are n-ary. Preterminals are represented directly as :class:`Leaf`
 objects carrying the word and its POS tag, so ``(VB go)`` is a leaf and
 ``(VP (VB go))`` is an internal node with a single leaf child.
+
+One reader loop builds the trees as written (:func:`parse_bracketed`) or
+straight away as :func:`preprocess` cleans them (:func:`read_treebank`,
+which the commands read), one copy per tree.
 """
 
 from __future__ import annotations
@@ -67,55 +71,73 @@ _TOKEN = re.compile(r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|[()]|[^()\s]+")
 
 
 def parse_bracketed(text: str) -> list[Tree]:
-    """Parse one or more bracketed trees from ``text``.
+    """Parse one or more bracketed trees from ``text``, as written.
 
     A node written without a label, ``( ... )``, is unwrapped to its single
     child (the usual treebank file convention for the outermost bracket).
     Raises :class:`TreebankError` with a byte offset on malformed input.
     """
-    trees: list[Tree] = []
-    # open nodes: [label-or-None, start offset, children, holds a token]
+    return _read(text, Leaf, NaryTree)
+
+
+def read_treebank(text: str) -> list[Tree | None]:
+    """``[preprocess(tree) for tree in parse_bracketed(text)]`` without the
+    raw trees, ``None`` where preprocessing empties a tree. The errors are
+    :func:`parse_bracketed`'s, counting children as written."""
+    return _read(text, _clean_leaf, _clean_node)
+
+
+def _read(text: str, leaf, node) -> list:
+    """The trees of ``text``, built by ``leaf(word, tag)`` and ``node(label,
+    children)``; either may return ``None`` to drop what it was given."""
+    trees: list = []
+    # open nodes: [label-or-None, start offset, children, holds a token,
+    # count of children dropped]
     stack: list[list] = []
     for match in _TOKEN.finditer(text):
         tag, word = match.groups()
         if tag is not None:
-            (stack[-1][2] if stack else trees).append(Leaf(word, tag))
+            item = leaf(word, tag)
+        elif (tok := match.group()) == "(":
+            stack.append([None, match.start(), [], False, 0])
             continue
-        tok = match.group()
-        if tok == "(":
-            stack.append([None, match.start(), [], False])
-        elif tok == ")":
+        elif tok != ")":
             if not stack:
-                raise TreebankError("unbalanced ')'", match.start())
-            label, start, children, holds_token = stack.pop()
-            node: Tree
+                raise TreebankError(f"token '{tok}' outside any tree", match.start())
+            top = stack[-1]
+            if top[0] is None and not top[2] and not top[4]:
+                top[0] = tok
+            else:
+                top[2].append(tok)
+                top[3] = True
+            continue
+        elif not stack:
+            raise TreebankError("unbalanced ')'", match.start())
+        else:
+            label, start, children, holds_token, dropped = stack.pop()
             if label is None:
-                if len(children) != 1:
+                if len(children) + dropped != 1:
                     raise TreebankError(
-                        f"unlabeled node with {len(children)} children", start
+                        f"unlabeled node with {len(children) + dropped} children", start
                     )
-                node = children[0]
-            elif not children:
+                item = children[0] if children else None
+            elif not children and not dropped:
                 raise TreebankError(f"node '{label}' has no children or token", start)
             elif holds_token:
                 # a one-token preterminal never gets here: it matched whole
-                if all(isinstance(c, str) for c in children):
+                if not dropped and all(isinstance(c, str) for c in children):
                     raise TreebankError(
                         f"preterminal '{label}' with multiple tokens", start
                     )
                 raise TreebankError(f"node '{label}' mixes tokens and subtrees", start)
             else:
-                node = NaryTree(label, children)
-            (stack[-1][2] if stack else trees).append(node)
+                item = node(label, children)
+        if not stack:
+            trees.append(item)
+        elif item is not None:
+            stack[-1][2].append(item)
         else:
-            if not stack:
-                raise TreebankError(f"token '{tok}' outside any tree", match.start())
-            top = stack[-1]
-            if top[0] is None and not top[2]:
-                top[0] = tok
-            else:
-                top[2].append(tok)
-                top[3] = True
+            stack[-1][4] += 1
     if stack:
         raise TreebankError("unbalanced '(': input ended inside a tree", len(text))
     return trees
@@ -159,31 +181,44 @@ def strip_function_tag(label: str) -> str:
     return label
 
 
-def preprocess(tree: Tree) -> Tree | None:
-    """Strip ``-NONE-`` subtrees and functional label annotations.
+def _clean_leaf(word: str, tag: str) -> Leaf | None:
+    """Preprocessing drops an empty element."""
+    return None if tag == NONE_TAG else Leaf(word, tag)
 
-    Internal nodes left childless by the removal are dropped in turn.
-    Returns ``None`` if nothing survives. Walks with an explicit stack, so
-    any depth works.
-    """
+
+def _clean_node(label: str, kept: list[Tree]) -> NaryTree | None:
+    """Preprocessing drops a node left with no children and strips the
+    function tag of the rest."""
+    return NaryTree(strip_function_tag(label), kept) if kept else None
+
+
+def preprocess(tree: Tree) -> Tree | None:
+    """A cleaned copy of ``tree``: ``-NONE-`` leaves dropped, then every
+    node left with no children, and function tags stripped from the
+    labels of the rest. Returns ``None`` if nothing survives. Walks with
+    an explicit stack, so any depth works. :func:`read_treebank` applies
+    the same rule while it reads."""
     if isinstance(tree, Leaf):
-        return None if tree.tag == NONE_TAG else Leaf(tree.word, tree.tag)
+        return _clean_leaf(tree.word, tree.tag)
     cleaned: list[Tree] = []
+    clean_leaf, clean_node = _clean_leaf, _clean_node  # local: called per node
     # open nodes: (label, unvisited children, kept children, parent's kept)
     stack = [(tree.label, iter(tree.children), [], cleaned)]
     while stack:
         label, children, kept, siblings = stack[-1]
         for child in children:
-            if isinstance(child, Leaf):
-                if child.tag != NONE_TAG:
-                    kept.append(Leaf(child.word, child.tag))
+            if type(child) is Leaf:
+                item = clean_leaf(child.word, child.tag)
+                if item is not None:
+                    kept.append(item)
             else:
                 stack.append((child.label, iter(child.children), [], kept))
                 break
         else:
             stack.pop()
-            if kept:
-                siblings.append(NaryTree(strip_function_tag(label), kept))
+            item = clean_node(label, kept)
+            if item is not None:
+                siblings.append(item)
     return cleaned[0] if cleaned else None
 
 

@@ -35,6 +35,9 @@ MALFORMED_TREEBANKS = {
     "(NP (NN dog)) stray": ("token 'stray' outside any tree", 14),
     "((NP (NN a)) (VP (VB b)))": ("unlabeled node with 2 children", 0),
     "(S (NN dog)) ((NP (NN cat)) x)": ("unlabeled node with 2 children", 13),
+    # children count as written, also those preprocessing would drop
+    "( (NP (-NONE- *)) (VP (VB go)) )": ("unlabeled node with 2 children", 0),
+    "(S (NN a))\n( (NP (-NONE- *)) (VP (VB go)) )": ("unlabeled node with 2 children", 11),
     "()": ("unlabeled node with 0 children", 0),
     "(A)": ("node 'A' has no children or token", 0),
     "(NP (DT a)) (A)": ("node 'A' has no children or token", 12),
@@ -84,6 +87,29 @@ def random_nary_tree(rng: np.random.Generator, n_leaves: int | None = None,
     tree = build(n_leaves, 0)
     if not isinstance(tree, NaryTree):
         tree = NaryTree(pick_label(), [tree])
+    return tree
+
+
+def penn_style(tree, rng):
+    """``tree`` with, in place, what Penn files carry and preprocessing
+    strips: function tags on subject NPs and PPs, and an NP over a
+    ``-NONE-`` leaf."""
+    nodes = []
+    work = [tree]
+    while work:
+        node = work.pop()
+        if isinstance(node, NaryTree):
+            nodes.append(node)
+            work.extend(node.children)
+    for node in nodes:
+        first = node.children[0]
+        if node.label == "S" and isinstance(first, NaryTree) and first.label == "NP":
+            first.label = "NP-SBJ"
+        elif node.label == "PP":
+            node.label = "PP-LOC"
+    host = nodes[rng.integers(len(nodes))]
+    empty = NaryTree("NP", [Leaf("*T*-1", "-NONE-")])
+    host.children.insert(int(rng.integers(len(host.children) + 1)), empty)
     return tree
 
 

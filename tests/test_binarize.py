@@ -19,6 +19,7 @@ from distparse.binarize import (
     read_tree,
 )
 from distparse.codec import binary_trees_equal, encode, encode_tree
+from distparse.scoring import span_counts
 from distparse.trees import (
     Leaf,
     NaryTree,
@@ -328,8 +329,10 @@ class TestEncodeWalksMatchReference:
             found = reference_leaves(tree)
             assert reading.words == [leaf.word for leaf in found]
             assert reading.tags == [leaf.tag for leaf in found]
-            assert reading.spans == spans
-            assert reading.positions == Counter((s, e) for _, s, e in spans.elements())
+            assert span_counts(reading) == (
+                spans,
+                Counter((s, e) for _, s, e in spans.elements()),
+            )
             assert reading.unary_labels == list(tup.unary_labels)
             assert reading.split_labels == list(tup.split_labels)
             assert reading.distances == list(tup.distances)

@@ -20,6 +20,13 @@ from helpers import MALFORMED_TREEBANKS, write_treebank
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 # the encode output of SAMPLE, committed so that any change to it shows
 SAMPLE_JSONL = Path(__file__).resolve().parent / "data" / "sample_treebank.jsonl"
+# more outputs on SAMPLE, committed for the same reason: `score --json` of
+# it against its decode, `roundtrip`, `predict` with the small_checkpoint
+# model below, and `score --json` of it against that prediction
+GOLDEN = {
+    name: Path(__file__).resolve().parent / "data" / f"sample_treebank.{name}"
+    for name in ("score.json", "roundtrip.txt", "predict.mrg", "predict.score.json")
+}
 # the third tree holds a label encode rejects; the second, of traces only,
 # is dropped by preprocessing but still counts as a tree read
 BAD_LABEL_TREEBANK = "(S (NN a))\n(S (NP (-NONE- *)))\n(S+ (NN b) (NN c))\n"
@@ -153,6 +160,27 @@ class TestEncodeDecode:
             ["dog"],
             ["cat", "sees"],
         ]
+
+    def test_wrapped_tree_of_traces_only_is_skipped_not_an_error(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "wrapped.mrg"
+        src.write_text("( (NP (-NONE- *)) )\n( (S (NN dog)) )\n")
+        jsonl = tmp_path / "wrapped.jsonl"
+        assert main(["encode", str(src), "--out", str(jsonl)]) == 0
+        assert len(jsonl.read_text().splitlines()) == 1
+        assert capsys.readouterr().err == "warning: 1 trees empty after preprocessing\n"
+        sidecar = json.loads((tmp_path / "wrapped.jsonl.run.json").read_text())
+        assert sidecar["skipped_empty"] == 1
+
+    def test_sample_treebank_score_of_its_decode_is_the_committed_json(self, tmp_path):
+        jsonl, decoded = tmp_path / "sample.jsonl", tmp_path / "sample.out.mrg"
+        report = tmp_path / "score.json"
+        assert main(["encode", str(SAMPLE), "--out", str(jsonl)]) == 0
+        assert main(["decode", str(jsonl), "--out", str(decoded)]) == 0
+        argv = ["score", str(SAMPLE), str(decoded), "--json", "--out", str(report)]
+        assert main(argv) == 0
+        assert report.read_bytes() == GOLDEN["score.json"].read_bytes()
 
     def test_sidecar_metadata_written(self, tmp_path):
         jsonl = tmp_path / "sample.jsonl"
@@ -364,6 +392,10 @@ class TestRoundtripCommand:
         assert main(["roundtrip", str(SAMPLE)]) == 0
         assert "25 trees, 0 mismatches" in capsys.readouterr().out
 
+    def test_sample_treebank_output_is_the_committed_text(self, capsys):
+        assert main(["roundtrip", str(SAMPLE)]) == 0
+        assert capsys.readouterr().out == GOLDEN["roundtrip.txt"].read_text()
+
     def test_label_encode_rejects_names_the_file_and_tree(self, tmp_path, capsys):
         src = tmp_path / "labels.mrg"
         src.write_text(BAD_LABEL_TREEBANK)
@@ -398,6 +430,17 @@ class TestRoundtripCommand:
 
 
 class TestTrainPredictScore:
+    def test_sample_treebank_prediction_and_its_score_are_the_committed_files(
+        self, tmp_path, small_checkpoint
+    ):
+        pred, report = tmp_path / "pred.mrg", tmp_path / "score.json"
+        argv = ["predict", str(SAMPLE), "--model", str(small_checkpoint)]
+        assert main(argv + ["--out", str(pred)]) == 0
+        assert pred.read_bytes() == GOLDEN["predict.mrg"].read_bytes()
+        argv = ["score", str(SAMPLE), str(pred), "--json", "--out", str(report)]
+        assert main(argv) == 0
+        assert report.read_bytes() == GOLDEN["predict.score.json"].read_bytes()
+
     def test_full_pipeline(self, tmp_path, mini_treebank, capsys):
         ckpt = tmp_path / "model.json"
         metrics = tmp_path / "metrics.jsonl"

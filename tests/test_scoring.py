@@ -12,10 +12,12 @@ from distparse.scoring import (
     format_report,
     read_tree,
     score,
+    span_counts,
 )
 from distparse.trees import Leaf, NaryTree, parse_bracketed, preprocess
 from helpers import (
     left_comb,
+    penn_style,
     random_nary_tree,
     reference_binarize,
     reference_encode,
@@ -30,27 +32,8 @@ def trees_of(*texts):
     return [parse_bracketed(t)[0] for t in texts]
 
 
-def penn_style(tree, rng):
-    """``tree`` with, in place, what Penn files carry and preprocessing
-    strips: function tags on subject NPs and PPs, and an NP over a
-    ``-NONE-`` leaf."""
-    nodes = []
-    work = [tree]
-    while work:
-        node = work.pop()
-        if isinstance(node, NaryTree):
-            nodes.append(node)
-            work.extend(node.children)
-    for node in nodes:
-        first = node.children[0]
-        if node.label == "S" and isinstance(first, NaryTree) and first.label == "NP":
-            first.label = "NP-SBJ"
-        elif node.label == "PP":
-            node.label = "PP-LOC"
-    host = nodes[rng.integers(len(nodes))]
-    empty = NaryTree("NP", [Leaf("*T*-1", "-NONE-")])
-    host.children.insert(int(rng.integers(len(host.children) + 1)), empty)
-    return tree
+def spans_of(tree):
+    return span_counts(read_tree(tree))[0]
 
 
 def unary_chain(depth):
@@ -81,7 +64,7 @@ def reading_cases():
 class TestReadTree:
     def test_simple_sentence(self):
         (tree,) = trees_of("(S (NP (PRP She)) (VP (VBZ runs)))")
-        assert dict(read_tree(tree).spans) == {
+        assert dict(spans_of(tree)) == {
             ("S", 0, 2): 1,
             ("NP", 0, 1): 1,
             ("VP", 1, 2): 1,
@@ -90,11 +73,11 @@ class TestReadTree:
 
     def test_single_preterminal_under_root(self):
         (tree,) = trees_of("(NP (NN dog))")
-        assert dict(read_tree(tree).spans) == {("NP", 0, 1): 1}
+        assert dict(spans_of(tree)) == {("NP", 0, 1): 1}
 
     def test_duplicate_spans_counted(self):
         (tree,) = trees_of("(NP (NP (NN dog)))")
-        assert read_tree(tree).spans[("NP", 0, 1)] == 2
+        assert spans_of(tree)[("NP", 0, 1)] == 2
 
     def test_span_count_equals_internal_node_count(self):
         rng = np.random.default_rng(31)
@@ -107,13 +90,13 @@ class TestReadTree:
                 if hasattr(node, "children"):
                     internal += 1
                     work.extend(node.children)
-            assert sum(read_tree(tree).spans.values()) == internal
+            assert sum(spans_of(tree).values()) == internal
 
     def test_deep_tree_does_not_recurse(self):
         tree = Leaf("w0", "NN")
         for i in range(1, 5000):
             tree = NaryTree("S", [tree, Leaf(f"w{i}", "NN")])
-        spans = read_tree(tree).spans
+        spans = spans_of(tree)
         assert spans == Counter({("S", 0, end): 1 for end in range(2, 5001)})
 
     def test_labels_follow_binarize(self):
@@ -134,8 +117,10 @@ class TestReadTree:
             assert reading.words == list(tup.words)
             assert reading.unary_labels == list(tup.unary_labels)
             assert reading.split_labels == list(tup.split_labels)
-            assert reading.spans == spans
-            assert reading.positions == Counter((s, e) for _, s, e in spans.elements())
+            assert span_counts(reading) == (
+                spans,
+                Counter((s, e) for _, s, e in spans.elements()),
+            )
             assert reading.label_error is None
 
     def test_first_label_error_is_binarizes(self):
@@ -162,7 +147,7 @@ class TestReadTree:
                 reference_binarize(tree)
             reading = read_tree(tree)
             assert str(reading.label_error) == str(expected.value)
-            assert reading.spans == reference_extract_spans(tree)
+            assert span_counts(reading)[0] == reference_extract_spans(tree)
             checked += 1
         assert checked > 200
 

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from distparse.trees import (
     leaves,
     parse_bracketed,
     preprocess,
+    read_treebank,
     serialize_bracketed,
     strip_function_tag,
 )
-from helpers import MALFORMED_TREEBANKS, random_nary_tree
+from helpers import MALFORMED_TREEBANKS, penn_style, random_nary_tree
+
+SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 
 
 class TestParse:
@@ -162,3 +166,138 @@ class TestPreprocess:
             (cleaned,) = cleaned.children
             depth += 1
         assert depth == 5000 and cleaned == Leaf("w", "NN")
+
+
+def outcome(read, text):
+    """What a reader makes of ``text``: each tree serialized (``None`` for
+    one preprocessing empties), or the error's message and offset."""
+    try:
+        found = read(text)
+    except TreebankError as exc:
+        return "error", str(exc), exc.offset
+    return [None if tree is None else serialize_bracketed(tree) for tree in found]
+
+
+def parse_then_preprocess(text):
+    return [preprocess(tree) for tree in parse_bracketed(text)]
+
+
+def internal_nodes(tree):
+    found = []
+    work = [tree]
+    while work:
+        node = work.pop()
+        if isinstance(node, NaryTree):
+            found.append(node)
+            work.extend(node.children)
+    return found
+
+
+def traces_only(rng):
+    """A subtree that preprocessing removes whole."""
+    trace = Leaf(("*", "*T*-1", "0", "*U*")[rng.integers(4)], "-NONE-")
+    if rng.random() < 0.3:
+        return trace
+    node = NaryTree("NP", [trace])
+    if rng.random() < 0.4:
+        node = NaryTree("S", [node, NaryTree("VP", [Leaf("*?*", "-NONE-")])])
+    return node
+
+
+def mutated_tree(rng):
+    """A random tree with what Penn files carry: function tags, ``-NONE-``
+    leaves and trace-only subtrees, and ``-LRB-``-style labels and tags."""
+    tree = random_nary_tree(rng, int(rng.integers(1, 9)), unary_prob=0.4)
+    if rng.random() < 0.5:
+        penn_style(tree, rng)
+    nodes = internal_nodes(tree)
+    for _ in range(int(rng.integers(0, 4))):
+        host = nodes[rng.integers(len(nodes))]
+        at = int(rng.integers(len(host.children) + 1))
+        host.children.insert(at, traces_only(rng))
+    for node in nodes:
+        roll = rng.random()
+        if roll < 0.15:
+            node.label += ("-SBJ", "=2", "-TMP=1", "-1")[rng.integers(4)]
+        elif roll < 0.2:
+            node.label = ("-LRB-", "-NONE-", "-X-", "-A-1")[rng.integers(4)]
+    for leaf in leaves(tree):
+        if rng.random() < 0.05:
+            leaf.tag = ("-LRB-", "-RRB-", "-NONE-")[rng.integers(3)]
+    if rng.random() < 0.1:
+        tree = traces_only(rng)
+    return tree
+
+
+def mutated_text(rng):
+    """One or two mutated trees as bracketed text, some in outer ``( … )``
+    wrappers, some with a stray ``(``, ``)`` or token added or a token
+    dropped."""
+    tokens = []
+    for _ in range(int(rng.integers(1, 3))):
+        own = re.findall(r"[()]|[^()\s]+", serialize_bracketed(mutated_tree(rng)))
+        for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.4 else 0):
+            own = ["(", *own, ")"]
+        tokens += own
+    if rng.random() < 0.1:
+        tokens = ["(", *tokens, ")"]
+    if rng.random() < 0.3:
+        at = int(rng.integers(len(tokens) + 1))
+        tokens.insert(at, ("(", ")", "stray", "-NONE-")[rng.integers(4)])
+    if rng.random() < 0.1:
+        del tokens[rng.integers(len(tokens))]
+    return " ".join(tokens)
+
+
+class TestReadTreebank:
+    """``read_treebank`` builds the preprocessed trees in one pass: it must
+    give what ``preprocess`` gives of each tree ``parse_bracketed`` reads,
+    and fail as ``parse_bracketed`` fails."""
+
+    def test_sample_treebank(self):
+        text = SAMPLE.read_text(encoding="utf-8")
+        assert outcome(read_treebank, text) == outcome(parse_then_preprocess, text)
+        assert read_treebank(text) == parse_then_preprocess(text)
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [pytest.param(text, *error, id=text) for text, error in MALFORMED_TREEBANKS.items()],
+    )
+    def test_malformed_input_raises_as_parse_bracketed(self, text, message, offset):
+        assert outcome(read_treebank, text) == (
+            "error",
+            f"{message} (at offset {offset})",
+            offset,
+        )
+
+    def test_seeded_mutations_match_parse_then_preprocess(self):
+        rng = np.random.default_rng(1010)
+        errors = emptied = 0
+        for _ in range(2000):
+            text = mutated_text(rng)
+            got = outcome(read_treebank, text)
+            assert got == outcome(parse_then_preprocess, text), text
+            errors += got[0] == "error"
+            emptied += got[0] != "error" and None in got
+        # the mutations reach every path: errors, emptied trees, clean ones
+        assert 300 < errors < 2000 and emptied > 100
+
+    def test_children_dropped_by_preprocessing_still_count(self):
+        text = "( (NP (-NONE- *)) (VP (VB go)) )"
+        with pytest.raises(TreebankError) as info:
+            read_treebank(text)
+        assert str(info.value) == "unlabeled node with 2 children (at offset 0)"
+        assert info.value.offset == 0
+
+    def test_wrapped_tree_of_traces_only_is_skipped(self):
+        assert read_treebank("( (NP (-NONE- *)) )\n(S (NN a))") == [
+            None,
+            NaryTree("S", [Leaf("a", "NN")]),
+        ]
+
+    def test_tokens_beside_dropped_children_keep_their_errors(self):
+        # a token after a dropped subtree is a child, not the wrapper's label
+        with pytest.raises(TreebankError, match="unlabeled node with 2 children"):
+            read_treebank("( (-NONE- *) word)")
+        with pytest.raises(TreebankError, match="node 'S' mixes tokens and subtrees"):
+            read_treebank("(S (-NONE- *) a b)")
