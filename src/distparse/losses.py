@@ -24,13 +24,13 @@ def rank_loss(d_true, d_pred) -> tuple[float, np.ndarray]:
     pred = np.asarray(d_pred, dtype=np.float64)
     if true.shape != pred.shape or true.ndim != 1:
         raise ValueError(f"shape mismatch: {true.shape} vs {pred.shape}")
-    grad = np.zeros_like(pred)
     m = len(pred)
     if m < 2:
-        return 0.0, grad
+        return 0.0, np.zeros_like(pred)
     sign = np.sign(true[:, None] - true[None, :])
     margin = 1.0 - sign * (pred[:, None] - pred[None, :])
-    upper = np.triu(np.ones((m, m), dtype=bool), k=1) & (sign != 0)
+    index = np.arange(m)
+    upper = (index[:, None] < index) & (sign != 0)
     active = upper & (margin > 0.0)
     value = float(margin[active].sum())
     coeff = np.where(active, -sign, 0.0)
@@ -64,10 +64,10 @@ def label_loss(true_ids, distributions) -> tuple[float, np.ndarray]:
         )
     if len(ids) == 0:
         return 0.0, np.zeros_like(probs)
-    if np.any(ids < 0) or np.any(ids >= probs.shape[1]):
+    if ids.min() < 0 or ids.max() >= probs.shape[1]:
         raise ValueError("true label outside the distribution's vocabulary")
     sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if (np.abs(sums - 1.0) > 1e-6).any():
         raise ValueError("rows of `distributions` must each sum to 1")
     rows = np.arange(len(ids))
     picked = probs[rows, ids]

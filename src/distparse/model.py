@@ -31,13 +31,15 @@ outputs are sliced away. Both directions advance in one loop, stacked on a
 leading axis, and each step computes the whole 4h gate vector with one
 tanh, using sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The conv and the three
 heads run on the whole batch. :func:`forward` and :func:`sentence_loss`
-are the one-sentence batch, and :func:`backward` reads the cache that
-batch leaves. Prediction (``train.predict_trees``) runs length-sorted
+are the one-sentence batch, which also keeps every step's activated gates
+and tanh(c) for :func:`backward` to read; other batches keep only one
+step's scratch. Prediction (``train.predict_trees``) runs length-sorted
 batches of 32 so that little padding is computed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -102,8 +104,9 @@ class FlatParams(dict):
         # layout: (name, slice of the flat vector, shape) per array
         self._layout = layout
         self.flat = flat
-        for name, part, shape in layout:
-            super().__setitem__(name, flat[part].reshape(shape))
+        dict.update(
+            self, {name: flat[part].reshape(shape) for name, part, shape in layout}
+        )
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: shape for name, _, shape in self._layout}
@@ -178,22 +181,26 @@ def _reversal(lengths: np.ndarray, steps: int) -> np.ndarray:
     return np.where(t <= last, last - t, t)
 
 
-def _gate_scale(hidden: int) -> np.ndarray:
-    """Per-gate factor of the fused activation: 1/2 on the sigmoid gates
-    i, f, o and 1 on the candidate g."""
+@functools.lru_cache(maxsize=None)
+def _gate_scale(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gate factor of the fused activation, 1/2 on the sigmoid gates
+    i, f, o and 1 on the candidate g, and 1 minus it; read-only, built once
+    per hidden size."""
     scale = np.full(4 * hidden, 0.5)
     scale[2 * hidden : 3 * hidden] = 1.0
-    return scale
+    offset = 1.0 - scale
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
 
 
-def _activate(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _activate(z: np.ndarray, scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Gate pre-activations -> [sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)]
     in place along the last axis: one tanh for all four gates, as
-    sigmoid(x) = 0.5 * (1 + tanh(x / 2))."""
+    sigmoid(x) = 0.5 * (1 + tanh(x / 2)), with :func:`_gate_scale`'s pair."""
     z *= scale
     np.tanh(z, out=z)
     z *= scale
-    z += 1.0 - scale
+    z += offset
     return z
 
 
@@ -204,62 +211,65 @@ def _input_gates(xs, Wx, b, batch, steps):
     return gates.reshape(2, batch, steps, Wx.shape[2]).transpose(2, 0, 1, 3)
 
 
-def _bilstm_forward(x, rev, params, prefix):
+def _bilstm_forward(x, rev, params, prefix, keep):
     """Both directions of a BiLSTM over a padded batch ``x`` (B, T, d).
 
     The backward direction reads each sentence reversed within its length
     (``rev``), so in both directions padded steps follow every real step
     and the recurrence runs unmasked. The two directions are stacked on a
-    leading axis and advance in one loop. Returns (B, T, 2h) and the cache,
-    which keeps the states and not the gates: the backward pass recomputes
-    those in a few whole-sequence operations, and a batch's cache stays
-    small.
+    leading axis and advance in one loop. Returns (B, T, 2h) and the cache
+    that :func:`_bilstm_backward` reads, or None unless ``keep``: the
+    states plus every step's activated gates and tanh(c). Without ``keep``
+    one step's scratch stands in for those.
     """
     batch, steps, width = x.shape
     Wx, Wh = params[f"{prefix}_Wx"], params[f"{prefix}_Wh"]
-    b = params[f"{prefix}_b"]
     hidden = Wh.shape[1]
     rows = np.arange(batch)[:, None]
-    xs = np.stack([x, x[rows, rev]]).reshape(2, batch * steps, width)
-    gates = _input_gates(xs, Wx, b, batch, steps)
-    scale = _gate_scale(hidden)
+    xs = np.empty((2, batch, steps, width))
+    xs[0] = x
+    xs[1] = x[rows, rev]
+    xs = xs.reshape(2, batch * steps, width)
+    gates = _input_gates(xs, Wx, params[f"{prefix}_b"], batch, steps)
+    scale, offset = _gate_scale(hidden)
     h_all = np.zeros((steps + 1, 2, batch, hidden))
     c_all = np.zeros((steps + 1, 2, batch, hidden))
+    acts = np.empty((steps if keep else 1, 2, batch, 4 * hidden))
+    tanh_c = np.empty((steps if keep else 1, 2, batch, hidden))
     for t in range(steps):
-        z = np.matmul(h_all[t], Wh)
-        z += gates[t]
-        act = _activate(z, scale)
+        act, tanh = acts[t if keep else 0], tanh_c[t if keep else 0]
+        np.matmul(h_all[t], Wh, out=act)
+        act += gates[t]
+        _activate(act, scale, offset)
         c = c_all[t + 1]
         np.multiply(act[..., hidden : 2 * hidden], c_all[t], out=c)
         c += act[..., :hidden] * act[..., 2 * hidden : 3 * hidden]
-        np.multiply(act[..., 3 * hidden :], np.tanh(c), out=h_all[t + 1])
+        np.multiply(act[..., 3 * hidden :], np.tanh(c, out=tanh), out=h_all[t + 1])
     out = h_all[1:].transpose(1, 2, 0, 3)  # (2, B, T, h)
     h = np.concatenate([out[0], out[1][rows, rev]], axis=2)
-    return h, (xs, rev, Wx, Wh, b, h_all, c_all)
+    return h, (xs, rev, Wx, Wh, h_all, c_all, acts, tanh_c) if keep else None
 
 
 def _bilstm_backward(d_out, cache, prefix, grads):
     """Gradients of both directions from d_out (B, T, 2h), written into
     ``grads``; returns d_x."""
-    xs, rev, Wx, Wh, b, h_all, c_all = cache
-    steps, _, batch, hidden = h_all[1:].shape
+    xs, rev, Wx, Wh, h_all, c_all, acts, tanh_c = cache
+    steps, _, batch, hidden = tanh_c.shape
     rows = np.arange(batch)[:, None]
     # (T, 2, B, h): each direction's output gradient in its own step order
-    d_h = np.stack([d_out[..., :hidden], d_out[..., hidden:][rows, rev]]).transpose(
-        2, 0, 1, 3
-    )
-    z = np.matmul(h_all[:-1], Wh)
-    z += _input_gates(xs, Wx, b, batch, steps)
-    acts = _activate(z, _gate_scale(hidden))
-    tanh_c = np.tanh(c_all[1:])
+    d_h = np.empty((2, batch, steps, hidden))
+    d_h[0] = d_out[..., :hidden]
+    d_h[1] = d_out[..., hidden:][rows, rev]
+    d_h = d_h.transpose(2, 0, 1, 3)
     # everything but dh and dc is known before the loop: gate derivatives
     # times the factor each gate's gradient takes from dc (or dh for o)
     deriv = acts * (1.0 - acts)
     g = acts[..., 2 * hidden : 3 * hidden]
     deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
-    from_dc = np.stack(
-        [g, c_all[:-1], acts[..., :hidden]], axis=3
-    ) * deriv[..., : 3 * hidden].reshape(steps, 2, batch, 3, hidden)
+    from_dc = deriv[..., : 3 * hidden].reshape(steps, 2, batch, 3, hidden)
+    from_dc[..., 0, :] *= g
+    from_dc[..., 1, :] *= c_all[:-1]
+    from_dc[..., 2, :] *= acts[..., :hidden]
     from_dh = tanh_c * deriv[..., 3 * hidden :]
     dc_from_dh = acts[..., 3 * hidden :] * (1.0 - tanh_c * tanh_c)
     forget = acts[..., hidden : 2 * hidden]
@@ -333,12 +343,14 @@ def forward_batch(
     config: ModelConfig,
     word_ids: Sequence[Sequence[int]],
     tag_ids: Sequence[Sequence[int]],
+    keep_activations: bool = False,
 ) -> list[ForwardResult]:
     """Run the network once over a batch of sentences of ``n >= 1`` words.
 
     The batch is padded to its longest sentence; one result per sentence
     comes back, in input order, sliced to the sentence's own length. All
-    results share the batch cache.
+    results share the batch cache, which holds what :func:`backward` reads
+    only if ``keep_activations``.
     """
     if len(word_ids) != len(tag_ids):
         raise ValueError(
@@ -372,7 +384,7 @@ def forward_batch(
         [params["embed_word"][words], params["embed_tag"][tags]], axis=2
     )
     h_word, word_cache = _bilstm_forward(
-        x, _reversal(lengths, steps), params, "lstm_word"
+        x, _reversal(lengths, steps), params, "lstm_word", keep_activations
     )
     word_logits, word_head_cache = _ff_forward(
         h_word.reshape(batch * steps, hidden2), params, "word_head"
@@ -388,6 +400,7 @@ def forward_batch(
         _reversal(lengths - 1, splits),
         params,
         "lstm_split",
+        keep_activations,
     )
     h_split = h_split.reshape(batch * splits, hidden2)
     dist_out, dist_head_cache = _ff_forward(h_split, params, "dist_head")
@@ -429,8 +442,9 @@ def forward(
     tag_ids: Sequence[int],
 ) -> ForwardResult:
     """Run the full pipeline on one sentence of ``n >= 1`` words: the
-    one-sentence batch of :func:`forward_batch`."""
-    return forward_batch(params, config, [word_ids], [tag_ids])[0]
+    one-sentence batch of :func:`forward_batch`, keeping what
+    :func:`backward` reads."""
+    return forward_batch(params, config, [word_ids], [tag_ids], True)[0]
 
 
 def backward(
@@ -442,15 +456,14 @@ def backward(
     d_split_probs: np.ndarray,
 ) -> FlatParams:
     """Gradients of a scalar loss given its gradients at the three outputs
-    of a one-sentence forward, in a fresh buffer with the layout of
-    ``params``.
+    of :func:`forward`, in a fresh buffer with the layout of ``params``.
 
     Probability gradients are chained through the softmax here.
     """
     cache = result.cache
     batch, steps = cache["words"].shape
-    if batch != 1:
-        raise ValueError("backward needs the result of a one-sentence forward")
+    if batch != 1 or cache["word_cache"] is None:
+        raise ValueError("backward needs the result of forward (one sentence)")
     grads = params.empty_like()
     hidden2 = 2 * config.hidden_dim
     splits = steps - 1

@@ -484,12 +484,18 @@ def load_checkpoint(path) -> TrainResult:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a recognized checkpoint file")
     model_config = model.ModelConfig(**payload["model"])
-    vocab = Vocabulary(
-        words=tuple(payload["vocab"]["words"]),
-        tags=tuple(payload["vocab"]["tags"]),
-        word_labels=tuple(payload["vocab"]["word_labels"]),
-        split_labels=tuple(payload["vocab"]["split_labels"]),
-    )
+    model_config.validate()
+    names = ("words", "tags", "word_labels", "split_labels")
+    for name in names:  # vocabulary "<x>s" is indexed by ModelConfig.<x>_vocab
+        entries, dimension = payload["vocab"][name], f"{name[:-1]}_vocab"
+        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+            raise ValueError(f"vocab.{name} must be a list of strings")
+        if len(entries) != getattr(model_config, dimension):
+            raise ValueError(
+                f"vocab.{name} has {len(entries)} entries "
+                f"but model.{dimension} is {getattr(model_config, dimension)}"
+            )
+    vocab = Vocabulary(**{name: tuple(payload["vocab"][name]) for name in names})
     for name in ("word_labels", "split_labels"):
         for label in getattr(vocab, name):
             if label != EMPTY_LABEL:
@@ -497,7 +503,6 @@ def load_checkpoint(path) -> TrainResult:
                     split_chain(label)
                 except LabelError as exc:
                     raise LabelError(f"vocab.{name}: {exc}") from None
-    model_config.validate()
     params = model.FlatParams(model.param_shapes(model_config))
     slots = _checkpoint_arrays(params)
     if set(payload["params"]) != set(slots):

@@ -461,3 +461,59 @@ def reference_label_accuracy(gold_tuples, pred_tuples, field: str) -> float:
         total += len(gold_labels)
         correct += sum(1 for a, b in zip(gold_labels, pred_labels) if a == b)
     return 100.0 * correct / total if total else 0.0
+
+
+def reference_bilstm_backward(d_out, cache, b, prefix, grads):
+    """``model._bilstm_backward`` as it was before the forward kept its
+    activations: it recomputes every step's gates and tanh(c) from the
+    cached inputs and states (``b`` is the direction-stacked bias), then
+    runs the same recurrence. It reads only the first six cache entries."""
+    xs, rev, Wx, Wh, h_all, c_all = cache[:6]
+    steps, _, batch, hidden = h_all[1:].shape
+    rows = np.arange(batch)[:, None]
+    d_h = np.stack([d_out[..., :hidden], d_out[..., hidden:][rows, rev]]).transpose(
+        2, 0, 1, 3
+    )
+    z = np.matmul(h_all[:-1], Wh)
+    gates = np.matmul(xs, Wx) + b[:, None, :]
+    z += gates.reshape(2, batch, steps, 4 * hidden).transpose(2, 0, 1, 3)
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += 1.0 - scale
+    acts = z
+    tanh_c = np.tanh(c_all[1:])
+    deriv = acts * (1.0 - acts)
+    g = acts[..., 2 * hidden : 3 * hidden]
+    deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
+    from_dc = np.stack(
+        [g, c_all[:-1], acts[..., :hidden]], axis=3
+    ) * deriv[..., : 3 * hidden].reshape(steps, 2, batch, 3, hidden)
+    from_dh = tanh_c * deriv[..., 3 * hidden :]
+    dc_from_dh = acts[..., 3 * hidden :] * (1.0 - tanh_c * tanh_c)
+    forget = acts[..., hidden : 2 * hidden]
+    dz_all = np.empty((steps, 2, batch, 4, hidden))
+    Wh_T = Wh.transpose(0, 2, 1)
+    dh_next = np.zeros((2, batch, hidden))
+    dc_next = np.zeros((2, batch, hidden))
+    for t in reversed(range(steps)):
+        dh = d_h[t] + dh_next
+        dc = dh * dc_from_dh[t]
+        dc += dc_next
+        dz = dz_all[t]
+        np.multiply(dc[:, :, None, :], from_dc[t], out=dz[:, :, :3])
+        np.multiply(dh, from_dh[t], out=dz[:, :, 3])
+        dh_next = np.matmul(dz.reshape(2, batch, 4 * hidden), Wh_T)
+        dc_next = dc * forget[t]
+    dz_rows = dz_all.reshape(steps, 2, batch, 4 * hidden).transpose(1, 2, 0, 3)
+    dz_rows = dz_rows.reshape(2, batch * steps, 4 * hidden)
+    h_prev = h_all[:-1].transpose(1, 2, 0, 3).reshape(2, batch * steps, hidden)
+    np.matmul(xs.transpose(0, 2, 1), dz_rows, out=grads[f"{prefix}_Wx"])
+    np.matmul(h_prev.transpose(0, 2, 1), dz_rows, out=grads[f"{prefix}_Wh"])
+    dz_rows.sum(axis=1, out=grads[f"{prefix}_b"])
+    d_xs = np.matmul(dz_rows, Wx.transpose(0, 2, 1)).reshape(
+        2, batch, steps, xs.shape[2]
+    )
+    return d_xs[0] + d_xs[1][rows, rev]

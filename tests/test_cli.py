@@ -743,6 +743,47 @@ class TestTrainPredictScore:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, dimension",
+        [
+            ("words", "word_vocab"),
+            ("tags", "tag_vocab"),
+            ("word_labels", "word_label_vocab"),
+            ("split_labels", "split_label_vocab"),
+        ],
+    )
+    @pytest.mark.parametrize("change", ["drop", "extra", "not a string", "not a list"])
+    def test_checkpoint_vocabulary_disagreeing_with_the_model_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, field, dimension, change
+    ):
+        payload = json.loads(small_checkpoint.read_text())
+        entries = payload["vocab"][field]
+        size = payload["model"][dimension]
+        assert len(entries) == size
+        if change == "drop":
+            del entries[-1]
+            message = (
+                f"vocab.{field} has {size - 1} entries but model.{dimension} is {size}"
+            )
+        elif change == "extra":
+            entries.append("EXTRA")
+            message = (
+                f"vocab.{field} has {size + 1} entries but model.{dimension} is {size}"
+            )
+        else:
+            if change == "not a string":
+                entries[-1] = 7
+            else:
+                payload["vocab"][field] = "".join(entries)
+            message = f"vocab.{field} must be a list of strings"
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "pred.mrg"
+        argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: checkpoint: {ckpt}: {message}\n"
+        assert not out.exists()
+
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
         config = tmp_path / "diverge.cfg"
         config.write_text("learning_rate = 1e30\n")

@@ -3,6 +3,8 @@ import pytest
 
 from distparse import codec, model
 
+from helpers import reference_bilstm_backward
+
 
 def tiny_config():
     return model.ModelConfig(
@@ -104,13 +106,16 @@ class TestBatch:
     def test_backward_needs_a_one_sentence_result(self):
         config = tiny_config()
         params = model.init_params(config, np.random.default_rng(0))
-        result = model.forward_batch(params, config, [[1, 2], [3]], [[0, 1], [2]])[0]
-        with pytest.raises(ValueError):
-            model.backward(
-                params, config, result, np.zeros(1),
-                np.zeros((2, config.word_label_vocab)),
-                np.zeros((1, config.split_label_vocab)),
-            )
+        # a two-sentence batch, and a one-sentence batch that kept no
+        # activations for the backward pass
+        for word_ids, tag_ids in (([[1, 2], [3]], [[0, 1], [2]]), ([[1, 2]], [[0, 1]])):
+            result = model.forward_batch(params, config, word_ids, tag_ids)[0]
+            with pytest.raises(ValueError, match="needs the result of forward"):
+                model.backward(
+                    params, config, result, np.zeros(1),
+                    np.zeros((2, config.word_label_vocab)),
+                    np.zeros((1, config.split_label_vocab)),
+                )
 
 
 class TestFlatLayout:
@@ -278,6 +283,31 @@ class TestGradients:
                     ) + 1e-9, (name, row, col, numeric, analytic)
                     checked += 1
         assert checked == 6 * config.embed_dim
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_kept_activations_give_the_recomputing_backward_bit_for_bit(
+        self, n, monkeypatch
+    ):
+        # the forward keeps every step's gates and tanh(c) for the backward;
+        # recomputing them from the states, as the reference does, must give
+        # the same bits in every gradient
+        config = tiny_config()
+        rng = np.random.default_rng(100 + n)
+        params = model.init_params(config, rng)
+        example = random_example(rng, config, n)
+        if n > 2:  # repeated ids sum embedding gradients through np.add.at
+            example[0][-1], example[1][-1] = example[0][0], example[1][0]
+        parts, grads = model.sentence_loss(params, config, *example)
+        monkeypatch.setattr(
+            model,
+            "_bilstm_backward",
+            lambda d_out, cache, prefix, grads: reference_bilstm_backward(
+                d_out, cache, params[f"{prefix}_b"], prefix, grads
+            ),
+        )
+        want_parts, want = model.sentence_loss(params, config, *example)
+        assert parts == want_parts
+        assert np.array_equal(grads.flat, want.flat)
 
     def test_single_word_sentence_backward_runs(self):
         config = tiny_config()
