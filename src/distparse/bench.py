@@ -96,11 +96,10 @@ def run(
                         f"engine {engine} disagrees with stack at size {size}"
                     )
     pairs = [(size, engine) for size in sizes for engine in engines]
-    decoders = {engine: codec.decoder_for(engine) for engine in engines}
     times: dict[tuple[int, str], list[float]] = {pair: [] for pair in pairs}
     if warmup:
         for size, engine in pairs:
-            decoders[engine](tuples[size])
+            codec.decode(tuples[size], engine)
     schedule = (
         [pair for _ in range(repetitions) for pair in pairs]
         if interleave
@@ -110,9 +109,9 @@ def run(
     gc.disable()
     try:
         for size, engine in schedule:
-            decoder, tup = decoders[engine], tuples[size]
+            tup = tuples[size]
             start = time.perf_counter()
-            tree = decoder(tup)
+            tree = codec.decode(tup, engine)
             elapsed = time.perf_counter() - start
             del tree  # deallocate outside the timed window
             times[(size, engine)].append(elapsed)

@@ -5,7 +5,8 @@ labels, nodes introduced while splitting n-ary constituents are labeled
 with the empty label, and a unary chain that bottoms out at a single word
 is stored on that word's terminal. One walk, :func:`read_tree`, states
 this rule and gives each split its score; :func:`binarize` decodes those
-scores, and :func:`debinarize` inverts it.
+scores, and :func:`debinarize` is :func:`~distparse.codec.decode_tree`
+of the tree's own scores, the way every tuple goes back to an n-ary tree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
+from .trees import BREAKS_TOKEN, Leaf, Tree, token_problem
 
 EMPTY_LABEL = "∅"  # ∅, marks spans that are not real constituents
 CHAIN_SEPARATOR = "+"
@@ -166,9 +167,9 @@ def binarize(tree: Tree) -> BinaryTree:
     decode of the scores :func:`read_tree` gives it. Raises
     :class:`LabelError` for the first label, in pre-order, that cannot be
     encoded reversibly."""
-    from .codec import decode_stack, encode_tree  # codec imports this module
+    from .codec import decode, encode_tree  # codec imports this module
 
-    return decode_stack(encode_tree(tree))
+    return decode(encode_tree(tree))
 
 
 def split_chain(label: str) -> list[str]:
@@ -184,40 +185,10 @@ def split_chain(label: str) -> list[str]:
         raise LabelError(f"{exc} in chain {label!r}") from None
 
 
-def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
-    labels = split_chain(label)
-    node = NaryTree(labels[-1], children)
-    for lab in reversed(labels[:-1]):
-        node = NaryTree(lab, [node])
-    return node
-
-
 def debinarize(tree: BinaryTree) -> Tree:
-    """Invert :func:`binarize`: splice out empty-labeled nodes and expand
-    collapsed chains. Raises :class:`StructureError` if the root itself is
-    empty-labeled (there is no parent to splice its children into), and
-    :class:`LabelError` for a chain label that :func:`binarize` rejects."""
-    if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
-        raise StructureError("root carries the empty label")
-    found: list[Tree] = []
-    # Pre-order: each node appends itself to the child list it belongs to,
-    # and an empty-labeled node lends its own list to its children, which
-    # splices it out. The loop walks down each left spine while the right
-    # children wait on the stack, so a left subtree is appended whole
-    # before its right sibling.
-    work: list[tuple[BinaryTree, list[Tree]]] = [(tree, found)]
-    while work:
-        node, siblings = work.pop()
-        while isinstance(node, Internal):
-            if node.label != EMPTY_LABEL:
-                children: list[Tree] = []
-                siblings.append(_expand_chain(node.label, children))
-                siblings = children
-            work.append((node.right, siblings))
-            node = node.left
-        leaf = Leaf(node.word, node.tag)
-        if node.unary_label == EMPTY_LABEL:
-            siblings.append(leaf)
-        else:
-            siblings.append(_expand_chain(node.unary_label, [leaf]))
-    return found[0]
+    """Invert :func:`binarize`: ``decode_tree(encode(tree))``, which raises
+    :class:`StructureError` if the root is empty-labeled and
+    :class:`LabelError` for the first chain label binarize rejects."""
+    from .codec import decode_tree, encode  # codec imports this module
+
+    return decode_tree(encode(tree))

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import asdict, fields
 
 from . import __version__, bench, codec, model, scoring, train as training
-from .binarize import LabelError, debinarize
+from .binarize import LabelError
 from .codec import encode_tree
 from .trees import Tree, TreebankError, leaves, read_treebank, serialize_bracketed
 
@@ -116,7 +116,7 @@ def cmd_decode(args) -> int:
             continue
         try:
             tup = codec.from_json_line(line)
-            tree = debinarize(codec.decode(tup, args.engine))
+            tree = codec.decode_tree(tup, args.engine)
         except (ValueError, TypeError) as exc:
             raise CliError("decode", f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
@@ -132,7 +132,7 @@ def cmd_roundtrip(args) -> int:
     mismatches = []
     for index, (tree, tup) in enumerate(pairs):
         reference = serialize_bracketed(tree)
-        restored = serialize_bracketed(debinarize(codec.decode(tup, args.engine)))
+        restored = serialize_bracketed(codec.decode_tree(tup, args.engine))
         if restored != reference:
             mismatches.append((index, reference, restored))
     print(f"roundtrip: {len(pairs)} trees, {len(mismatches)} mismatches")

@@ -1,13 +1,15 @@
-"""Encoding binary parse trees as per-split score vectors and back.
+"""Encoding parse trees as per-split score vectors and back.
 
 A sentence of ``n`` words has ``n - 1`` split points. :func:`encode` maps a
 binary tree to one real score per split point (the height of the internal
 node sitting over that split, collected left to right) plus the node and
 word labels; :func:`encode_tree` gives the same tuple for an n-ary tree.
-:func:`decode` rebuilds the tree by recursively splitting at the
-highest-scoring point of each span; only the *ranking* of the scores
+:func:`decode_tree` rebuilds the n-ary tree by recursively splitting at
+the highest-scoring point of each span; only the *ranking* of the scores
 matters, so any vector ordering the splits the same way yields the same
-tree.
+tree; :func:`decode` builds the binary tree, which exists only for it and
+:func:`~distparse.binarize.binarize`. ``debinarize(b)`` is
+``decode_tree(encode(b))``.
 
 Three decoder engines are provided. They return identical trees on all
 inputs, ties included (ties break toward the leftmost maximum):
@@ -31,8 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .binarize import BinaryTree, Internal, Terminal, read_tree
-from .trees import BREAKS_TOKEN, Tree, token_problem
+from .binarize import EMPTY_LABEL, BinaryTree, Internal, StructureError, Terminal
+from .binarize import read_tree, split_chain
+from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
 
 @dataclass(frozen=True)
 class DistanceTuple:
@@ -174,45 +177,32 @@ def _compact(level: np.ndarray) -> array:
     return out
 
 
-def _decode_top_down(
-    tup: DistanceTuple, argmax: Callable[[int, int], int]
-) -> BinaryTree:
+def _top_down(
+    n_splits: int, left: list[int], right: list[int], argmax: Callable[[int, int], int]
+) -> int:
     """Recursive splitting at the highest-scoring point, realized with an
     explicit span stack so comb-shaped trees cannot exhaust the call stack.
 
     A span of split indices ``[lo, hi)`` covers words ``lo..hi`` inclusive;
-    an empty span is a single word.
+    an empty span is a single word, which its slot already holds.
     """
-    words, tags, unary = tup.words, tup.tags, tup.unary_labels
-    labels = tup.split_labels
-    n = len(words)
-    if n == 1:
-        return Terminal(words[0], tags[0], unary[0])
-    holder = Internal("", None, None)
-    pending = [(0, n - 1, holder, True)]
+    root = [~0]
+    pending = [(0, n_splits, root, 0)]
     while pending:
-        lo, hi, parent, is_left = pending.pop()
-        if lo == hi:
-            node: BinaryTree = Terminal(words[lo], tags[lo], unary[lo])
-        else:
-            i = argmax(lo, hi)
-            node = Internal(labels[i], None, None)
-            pending.append((i + 1, hi, node, False))
-            pending.append((lo, i, node, True))
-        if is_left:
-            parent.left = node
-        else:
-            parent.right = node
-    return holder.left
+        lo, hi, slots, at = pending.pop()
+        if lo < hi:
+            i = slots[at] = argmax(lo, hi)
+            pending += ((i + 1, hi, right, i), (lo, i, left, i))
+    return root[0]
 
 
-def decode_scan(tup: DistanceTuple) -> BinaryTree:
-    """Reference decoder: a plain scalar argmax scan over each span.
+def _scan(distances: Sequence[float], left: list[int], right: list[int]) -> int:
+    """Reference engine: a plain scalar argmax scan over each span.
 
     Deliberately unoptimized; its worst case (comb-shaped trees) is
     quadratic in the number of comparisons, which the benchmark relies on.
     """
-    values = [float(d) for d in tup.distances]
+    values = [float(d) for d in distances]
 
     def argmax(lo: int, hi: int) -> int:
         best = values[lo]
@@ -224,59 +214,46 @@ def decode_scan(tup: DistanceTuple) -> BinaryTree:
                 best_index = k
         return best_index
 
-    return _decode_top_down(tup, argmax)
+    return _top_down(len(values), left, right, argmax)
 
 
-def decode_rmq(tup: DistanceTuple) -> BinaryTree:
-    """Decoder backed by the sparse range-argmax table."""
-    return _decode_top_down(tup, SparseTable(tup.distances).argmax)
+def _rmq(distances: Sequence[float], left: list[int], right: list[int]) -> int:
+    """Engine backed by the sparse range-argmax table."""
+    return _top_down(len(distances), left, right, SparseTable(distances).argmax)
 
 
-def decode_stack(tup: DistanceTuple) -> BinaryTree:
-    """Bottom-up linear-time decoder.
+def _stack(distances: Sequence[float], left: list[int], right: list[int]) -> int:
+    """Bottom-up linear-time engine.
 
     Split points are folded left to right with a stack holding the current
     rightmost root-path in non-increasing score order; popping only strictly
     smaller scores makes the leftmost of equal maxima the ancestor, matching
-    the top-down engines. The node for split ``i`` sits between words ``i``
-    and ``i + 1``, so any child slot left open is filled by the adjacent
-    word.
+    the top-down engines.
     """
-    words, tags, unary = tup.words, tup.tags, tup.unary_labels
-    n = len(words)
-    if n == 1:
-        return Terminal(words[0], tags[0], unary[0])
-    labels = tup.split_labels
-    nodes: list[Internal] = []
-    stack: list[tuple[float, Internal]] = []
-    for i in range(n - 1):
-        value = float(tup.distances[i])
-        node = Internal(labels[i], None, None)
-        last: Internal | None = None
+    stack: list[tuple[float, int]] = []
+    for i, value in enumerate(map(float, distances)):
         while stack and stack[-1][0] < value:
-            last = stack.pop()[1]
-        node.left = last
+            left[i] = stack.pop()[1]
         if stack:
-            stack[-1][1].right = node
-        stack.append((value, node))
-        nodes.append(node)
-    for i, node in enumerate(nodes):
-        if node.left is None:
-            node.left = Terminal(words[i], tags[i], unary[i])
-        if node.right is None:
-            node.right = Terminal(words[i + 1], tags[i + 1], unary[i + 1])
-    return stack[0][1]
+            right[stack[-1][1]] = i
+        stack.append((value, i))
+    return stack[0][1] if stack else ~0
 
 
-_DECODERS = {"scan": decode_scan, "rmq": decode_rmq, "stack": decode_stack}
-ENGINES = tuple(_DECODERS)
+_ENGINES = {"scan": _scan, "rmq": _rmq, "stack": _stack}
+ENGINES = tuple(_ENGINES)
 
 
-def decoder_for(engine: str) -> Callable[[DistanceTuple], BinaryTree]:
-    try:
-        return _DECODERS[engine]
-    except KeyError:
+def _child_indices(tup: DistanceTuple, engine: str) -> tuple[int, list, list]:
+    """The form every engine decodes to: the root, and for each split ``i``
+    its children ``left[i]`` and ``right[i]``, each a split index or ``~k``
+    for word ``k``. A slot starts out holding the only word it can hold,
+    word ``i`` or ``i + 1``; the engine fills the rest and returns the root."""
+    if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    n = len(tup.words)  # ~i is -i - 1
+    left, right = list(range(-1, -n, -1)), list(range(-2, -n - 1, -1))
+    return _ENGINES[engine](tup.distances, left, right), left, right
 
 
 def decode(tup: DistanceTuple, engine: str = "stack") -> BinaryTree:
@@ -285,7 +262,57 @@ def decode(tup: DistanceTuple, engine: str = "stack") -> BinaryTree:
     Any real score vector decodes to some tree; scores need not be integers
     or distinct. Equal scores within a span split at the leftmost maximum.
     """
-    return decoder_for(engine)(tup)
+    root, left, right = _child_indices(tup, engine)
+    nodes: list = [Internal(label, None, None) for label in tup.split_labels]
+    # the words follow in reverse, so that nodes[~k] is word k
+    nodes += reversed([*map(Terminal, tup.words, tup.tags, tup.unary_labels)])
+    for node, left_child, right_child in zip(nodes, left, right):
+        node.left = nodes[left_child]
+        node.right = nodes[right_child]
+    return nodes[root]
+
+
+def decode_tree(tup: DistanceTuple, engine: str = "stack") -> Tree:
+    """The n-ary tree of the binary tree :func:`decode` gives, built
+    without it: empty-labeled splits are spliced out and collapsed chains
+    expanded. Raises :class:`~distparse.binarize.StructureError` if the
+    root split is empty-labeled (there is no parent to splice its children
+    into), and :class:`~distparse.binarize.LabelError` for the first chain
+    label, in pre-order, that binarize rejects."""
+    root, left, right = _child_indices(tup, engine)
+    words, tags, unary, labels = tup.words, tup.tags, tup.unary_labels, tup.split_labels
+    if root >= 0 and labels[root] == EMPTY_LABEL:
+        raise StructureError("root carries the empty label")
+    found: list[Tree] = []
+    # Pre-order: each split appends its constituent to the child list it
+    # belongs to, and an empty-labeled split lends its own list to its
+    # children, which splices it out. The loop walks down each left spine
+    # while the right children wait on the stack, so a left subtree is
+    # appended whole before its right sibling.
+    work: list[tuple[int, list[Tree]]] = [(root, found)]
+    while work:
+        index, siblings = work.pop()
+        while index >= 0:
+            if labels[index] != EMPTY_LABEL:
+                children: list[Tree] = []
+                siblings.append(_expand_chain(labels[index], children))
+                siblings = children
+            work.append((right[index], siblings))
+            index = left[index]
+        leaf = Leaf(words[~index], tags[~index])
+        if unary[~index] == EMPTY_LABEL:
+            siblings.append(leaf)
+        else:
+            siblings.append(_expand_chain(unary[~index], [leaf]))
+    return found[0]
+
+
+def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
+    labels = split_chain(label)
+    node = NaryTree(labels[-1], children)
+    for lab in reversed(labels[:-1]):
+        node = NaryTree(lab, [node])
+    return node
 
 
 def binary_trees_equal(a: BinaryTree, b: BinaryTree) -> bool:

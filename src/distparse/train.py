@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import model
-from .binarize import EMPTY_LABEL, Internal, LabelError, debinarize, split_chain
-from .codec import ENGINES, DistanceTuple, decode
+from .binarize import EMPTY_LABEL, LabelError, split_chain
+from .codec import ENGINES, DistanceTuple, decode_tree
 from .scoring import score
 from .trees import Tree
 
@@ -256,9 +257,7 @@ def train(
         weight_decay=config.weight_decay,
     )
     examples = [_encode_example(tup, vocab) for tup in train_tuples]
-    gold_dev_trees = [
-        debinarize(decode(tup, config.decode_engine)) for tup in dev_tuples
-    ]
+    gold_dev_trees = [decode_tree(tup, config.decode_engine) for tup in dev_tuples]
     dev_sentences = [(tup.words, tup.tags) for tup in dev_tuples]
 
     result = TrainResult(params, model_config, vocab)
@@ -398,13 +397,13 @@ def predict_trees(
     engine: str = "stack",
 ) -> list[Tree]:
     """Parse ``(words, tags)`` pairs: predict scores and labels in
-    length-sorted batches of :data:`PREDICT_BATCH`, decode, and expand to
+    length-sorted batches of :data:`PREDICT_BATCH` and decode them to
     n-ary trees, in input order.
 
     The empty label marks non-constituent spans and is never legal on the
-    root, but an argmax can still put it there; in that case the root keeps
-    its best non-empty label instead, so prediction always yields a
-    well-formed tree.
+    root, but an argmax can still put it there; in that case the root split,
+    the first maximum of the distances, takes its best non-empty label
+    instead, so prediction always yields a well-formed tree.
     """
     order = sorted(range(len(sentences)), key=lambda index: len(sentences[index][0]))
     parsed: list = [None] * len(sentences)
@@ -414,13 +413,14 @@ def predict_trees(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )
         for index, (tup, _, split_probs) in zip(chunk, scored):
-            tree = decode(tup, engine)
-            if isinstance(tree, Internal) and tree.label == EMPTY_LABEL:
-                root_split = int(np.argmax(np.asarray(tup.distances)))
-                tree.label = _best_non_empty(
-                    split_probs[root_split], vocab.split_labels
-                )
-            parsed[index] = debinarize(tree)
+            if EMPTY_LABEL in tup.split_labels:
+                root = tup.distances.index(max(tup.distances))
+                if tup.split_labels[root] == EMPTY_LABEL:
+                    labels = list(tup.split_labels)
+                    best = _best_non_empty(split_probs[root], vocab.split_labels)
+                    labels[root] = best
+                    tup = replace(tup, split_labels=tuple(labels))
+            parsed[index] = decode_tree(tup, engine)
     return parsed
 
 
@@ -495,6 +495,9 @@ def load_checkpoint(path) -> TrainResult:
                 f"vocab.{name} has {len(entries)} entries "
                 f"but model.{dimension} is {getattr(model_config, dimension)}"
             )
+        if len(set(entries)) < len(entries):
+            repeated = next(e for e, count in Counter(entries).items() if count > 1)
+            raise ValueError(f"vocab.{name} repeats entry {repeated!r}")
     vocab = Vocabulary(**{name: tuple(payload["vocab"][name]) for name in names})
     for name in ("word_labels", "split_labels"):
         for label in getattr(vocab, name):

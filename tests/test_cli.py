@@ -784,6 +784,27 @@ class TestTrainPredictScore:
         assert capsys.readouterr().err == f"error: checkpoint: {ckpt}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["words", "tags", "word_labels", "split_labels"])
+    def test_checkpoint_vocabulary_repeating_an_entry_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, field
+    ):
+        # a repeated entry leaves the earlier id unreachable: its word would
+        # read as <unk>, its label print under the repeated name
+        payload = json.loads(small_checkpoint.read_text())
+        entries = payload["vocab"][field]
+        entries[-2] = entries[-1]
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "pred.mrg"
+        argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: checkpoint: {ckpt}: vocab.{field} repeats entry {entries[-1]!r}\n"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
         config = tmp_path / "diverge.cfg"
         config.write_text("learning_rate = 1e30\n")

@@ -11,7 +11,7 @@ from distparse.codec import (
     SparseTable,
     binary_trees_equal,
     decode,
-    decode_stack,
+    decode_tree,
     encode,
     from_json_line,
     to_json_line,
@@ -23,6 +23,8 @@ from helpers import (
     random_binary_tree,
     random_tuple,
     rank_signature,
+    reference_debinarize,
+    reference_serialize,
 )
 
 
@@ -148,7 +150,7 @@ class TestDecode:
             distances=(1.0, 2.0, 1.0),
             split_labels=("L", "S", "R"),
         )
-        tree = decode_stack(tup)
+        tree = decode(tup, "stack")
         assert tree == Internal(
             "S",
             Internal("L", Terminal("w0", "T"), Terminal("w1", "T")),
@@ -267,6 +269,42 @@ class TestDecode:
         for engine in ("rmq", "stack"):
             tree = decode(tup, engine)
             assert isinstance(tree, Internal)
+
+
+def outcome(build):
+    """The serialized tree ``build()`` returns, or the class and message of
+    the error it raises."""
+    try:
+        return reference_serialize(build())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestDecodeTree:
+    def test_matches_the_reference_debinarize_of_the_binary_tree(self):
+        rng = np.random.default_rng(21)
+        raised = 0
+        for _ in range(300):
+            tup = random_tuple(rng, int(rng.integers(1, 61)))
+            for engine in ENGINES:
+                expected = outcome(lambda: reference_debinarize(decode(tup, engine)))
+                assert outcome(lambda: decode_tree(tup, engine)) == expected
+                raised += isinstance(expected, tuple)
+        assert 0 < raised < 300 * len(ENGINES)
+
+    @pytest.mark.parametrize("engine", ["rmq", "stack"])
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_deep_comb_does_not_recurse(self, engine, rising):
+        n = 5000
+        tup = DistanceTuple(
+            words=tuple(f"w{i}" for i in range(n)),
+            tags=("T",) * n,
+            unary_labels=("NP",) * n,
+            distances=tuple(float(i if rising else -i) for i in range(n - 1)),
+            split_labels=("X",) * (n - 1),
+        )
+        expected = reference_serialize(reference_debinarize(decode(tup, engine)))
+        assert reference_serialize(decode_tree(tup, engine)) == expected
 
 
 class TestRankSignature:

@@ -5,7 +5,7 @@ import pytest
 
 from distparse import model, pcfg
 from distparse.binarize import EMPTY_LABEL, binarize, debinarize
-from distparse.codec import decode, encode
+from distparse.codec import ENGINES, decode, encode
 from distparse.scoring import score
 from distparse.train import (
     Adam,
@@ -222,12 +222,11 @@ class TestPrediction:
                 assert tuple(words_of(tree)) == tup.words
 
     def test_empty_root_label_is_replaced(self):
-        # zeroed output heads make every label distribution uniform, so the
-        # argmax falls on the alphabetically first label; order the vocab so
-        # that is the empty label and the guard must fire
+        # a large bias makes the empty label every split's argmax, so the
+        # root must be repaired; the rest of the split head still ranks the
+        # other labels differently at each split
         train_tuples, _ = small_corpus(30, 0)
         vocab = Vocabulary.build(train_tuples)
-        assert vocab.split_labels[0] < "∅"  # sanity: sorted ascii first
         config = model.ModelConfig(
             word_vocab=len(vocab.words),
             tag_vocab=len(vocab.tags),
@@ -239,19 +238,29 @@ class TestPrediction:
             ff_hidden=4,
         )
         params = model.init_params(config, np.random.default_rng(0))
-        params["split_head_W2"][:] = 0.0
-        params["split_head_b2"][:] = 0.0
         empty_index = vocab.split_labels.index(EMPTY_LABEL)
         params["split_head_b2"][empty_index] = 10.0  # force the empty label
-        tup = train_tuples[0]
-        if len(tup.words) < 2:
-            tup = next(t for t in train_tuples if len(t.words) >= 2)
-        tree = predict_trees(params, config, vocab, [(tup.words, tup.tags)])[0]
-        assert isinstance(tree, (NaryTree, Leaf))
-        [(predicted, _, _)] = predict_scores(
-            params, config, vocab, [(tup.words, tup.tags)]
-        )
-        assert all(label == EMPTY_LABEL for label in predicted.split_labels)
+        sentences = [(t.words, t.tags) for t in train_tuples if len(t.words) >= 3]
+        scored = predict_scores(params, config, vocab, sentences)
+        expected = []
+        root_differs = 0
+        for predicted, _, split_probs in scored:
+            assert all(label == EMPTY_LABEL for label in predicted.split_labels)
+            non_empty = np.array(split_probs)
+            non_empty[:, empty_index] = -np.inf
+            best = [vocab.split_labels[i] for i in non_empty.argmax(axis=1)]
+            root = int(np.argmax(predicted.distances))  # the first maximum
+            expected.append(best[root])
+            root_differs += any(label != best[root] for label in best)
+        assert root_differs  # the label read at another split would differ
+        for engine in ENGINES:
+            trees = predict_trees(params, config, vocab, sentences, engine)
+            for tree, label in zip(trees, expected):
+                chain = [tree.label]
+                while len(tree.children) == 1:
+                    tree = tree.children[0]
+                    chain.append(tree.label)
+                assert "+".join(chain) == label, engine
 
     def test_predict_trees_keeps_input_order(self):
         train_tuples, dev_tuples = small_corpus(60, 40)
