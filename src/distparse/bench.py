@@ -109,9 +109,8 @@ def run(
     gc.disable()
     try:
         for size, engine in schedule:
-            tup = tuples[size]
             start = time.perf_counter()
-            tree = codec.decode(tup, engine)
+            tree = codec.decode(tuples[size], engine)
             elapsed = time.perf_counter() - start
             del tree  # deallocate outside the timed window
             times[(size, engine)].append(elapsed)

@@ -12,7 +12,7 @@ tree; :func:`decode` builds the binary tree, which exists only for it and
 ``decode_tree(encode(b))``.
 
 Three decoder engines are provided. They return identical trees on all
-inputs, ties included (ties break toward the leftmost maximum):
+inputs, ties included (the leftmost maximum wins, see :func:`root_split`):
 
 - ``scan``: argmax by linear scan per span; quadratic on comb-shaped input.
 - ``rmq``: argmax via a precomputed sparse table; O(n log n) worst case.
@@ -244,6 +244,11 @@ _ENGINES = {"scan": _scan, "rmq": _rmq, "stack": _stack}
 ENGINES = tuple(_ENGINES)
 
 
+def root_split(tup: DistanceTuple) -> int:
+    """The split every engine roots at: the leftmost maximum, or word ``~0``."""
+    return tup.distances.index(max(tup.distances)) if tup.distances else ~0
+
+
 def _child_indices(tup: DistanceTuple, engine: str) -> tuple[int, list, list]:
     """The form every engine decodes to: the root, and for each split ``i``
     its children ``left[i]`` and ``right[i]``, each a split index or ``~k``
@@ -299,11 +304,8 @@ def decode_tree(tup: DistanceTuple, engine: str = "stack") -> Tree:
                 siblings = children
             work.append((right[index], siblings))
             index = left[index]
-        leaf = Leaf(words[~index], tags[~index])
-        if unary[~index] == EMPTY_LABEL:
-            siblings.append(leaf)
-        else:
-            siblings.append(_expand_chain(unary[~index], [leaf]))
+        leaf, chain = Leaf(words[~index], tags[~index]), unary[~index]
+        siblings.append(leaf if chain == EMPTY_LABEL else _expand_chain(chain, [leaf]))
     return found[0]
 
 

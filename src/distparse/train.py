@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model
 from .binarize import EMPTY_LABEL, LabelError, split_chain
-from .codec import ENGINES, DistanceTuple, decode_tree
+from .codec import ENGINES, DistanceTuple, decode_tree, root_split
 from .scoring import score
 from .trees import Tree
 
@@ -23,8 +23,8 @@ UNK = "<unk>"
 class Vocabulary:
     """Token and label inventories, fixed at training time.
 
-    Words and tags get an unknown-token fallback at index 0; labels do not
-    (they are outputs, drawn only from the training set).
+    Words and tags fall back to index 0, which a literal ``<unk>`` shares;
+    labels do not (they are outputs, drawn only from the training set).
     """
 
     words: tuple[str, ...]
@@ -36,8 +36,8 @@ class Vocabulary:
     def build(cls, corpus: Sequence[DistanceTuple]) -> "Vocabulary":
         if not corpus:
             raise ValueError("cannot build a vocabulary from an empty corpus")
-        words = sorted({w for tup in corpus for w in tup.words})
-        tags = sorted({t for tup in corpus for t in tup.tags})
+        words = sorted({w for tup in corpus for w in tup.words} - {UNK})
+        tags = sorted({t for tup in corpus for t in tup.tags} - {UNK})
         word_labels = {u for tup in corpus for u in tup.unary_labels}
         split_labels = {c for tup in corpus for c in tup.split_labels}
         word_labels.add(EMPTY_LABEL)
@@ -401,8 +401,8 @@ def predict_trees(
     n-ary trees, in input order.
 
     The empty label marks non-constituent spans and is never legal on the
-    root, but an argmax can still put it there; in that case the root split,
-    the first maximum of the distances, takes its best non-empty label
+    root, but an argmax can still put it there; in that case the root split
+    (:func:`~distparse.codec.root_split`) takes its best non-empty label
     instead, so prediction always yields a well-formed tree.
     """
     order = sorted(range(len(sentences)), key=lambda index: len(sentences[index][0]))
@@ -413,13 +413,11 @@ def predict_trees(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )
         for index, (tup, _, split_probs) in zip(chunk, scored):
-            if EMPTY_LABEL in tup.split_labels:
-                root = tup.distances.index(max(tup.distances))
-                if tup.split_labels[root] == EMPTY_LABEL:
-                    labels = list(tup.split_labels)
-                    best = _best_non_empty(split_probs[root], vocab.split_labels)
-                    labels[root] = best
-                    tup = replace(tup, split_labels=tuple(labels))
+            root = root_split(tup)
+            if root >= 0 and tup.split_labels[root] == EMPTY_LABEL:
+                labels = list(tup.split_labels)
+                labels[root] = _best_non_empty(split_probs[root], vocab.split_labels)
+                tup = replace(tup, split_labels=tuple(labels))
             parsed[index] = decode_tree(tup, engine)
     return parsed
 

@@ -805,6 +805,26 @@ class TestTrainPredictScore:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_corpus_holding_the_unknown_token_trains_and_predicts(
+        self, tmp_path, capsys
+    ):
+        # a literal <unk> word or tag shares id 0 with unseen ones, so the
+        # vocabulary train writes never repeats an entry
+        corpus, config = tmp_path / "unk.mrg", tmp_path / "small.cfg"
+        write_treebank(pcfg.generate_trees(10, seed=902), corpus)
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write("(S (NP (NN <unk>) (NN dog)) (VP (<unk> ran)))\n")
+        config.write_text(SMALL_MODEL)
+        ckpt, out = tmp_path / "m.json", tmp_path / "pred.mrg"
+        argv = ["train", "--train", str(corpus), "--config", str(config)]
+        assert main(argv + ["--epochs", "1", "--out", str(ckpt)]) == 0
+        vocab = json.loads(ckpt.read_text())["vocab"]
+        assert vocab["words"].count("<unk>") == vocab["tags"].count("<unk>") == 1
+        argv = ["predict", str(corpus), "--model", str(ckpt), "--out", str(out)]
+        assert main(argv) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 11
+
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
         config = tmp_path / "diverge.cfg"
         config.write_text("learning_rate = 1e30\n")

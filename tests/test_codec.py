@@ -14,6 +14,7 @@ from distparse.codec import (
     decode_tree,
     encode,
     from_json_line,
+    root_split,
     to_json_line,
 )
 from helpers import (
@@ -175,6 +176,18 @@ class TestDecode:
         )
         for engine in ENGINES:
             assert decode(tup, engine) == expected
+
+    def test_every_engine_roots_at_root_split(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            tup = random_tuple(rng, int(rng.integers(1, 60)))
+            root = root_split(tup)
+            for engine in ENGINES:
+                tree = decode(tup, engine)
+                if root == ~0:
+                    assert isinstance(tree, Terminal)
+                else:
+                    assert len(encode(tree.left).words) == root + 1
 
     def test_unknown_engine_rejected(self):
         tup = DistanceTuple(("w",), ("T",), ("X",), (), ())
