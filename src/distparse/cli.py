@@ -71,6 +71,17 @@ def _write_sidecar(out: str | None, metadata: dict) -> None:
     _write_text(out + ".run.json", json.dumps(metadata, indent=2) + "\n")
 
 
+def _write_counted_sidecar(args, command: str, trees: int, skipped: int) -> None:
+    """The sidecar with the trees kept and the trees preprocessing emptied,
+    and a warning on stderr when there are any of the latter."""
+    metadata = _run_metadata(args, command)
+    metadata["trees"] = trees
+    metadata["skipped_empty"] = skipped
+    _write_sidecar(args.out, metadata)
+    if skipped:
+        print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
+
+
 def _load_sentences(path: str, kind: str, then=None) -> tuple[list, int]:
     """treebank file -> (each tree read, preprocessed by
     :func:`~distparse.trees.read_treebank`, or ``then`` of it; count of
@@ -100,12 +111,7 @@ def cmd_encode(args) -> int:
     tuples, skipped = _load_sentences(args.input, "encode", encode_tree)
     lines = "".join(codec.to_json_line(tup) + "\n" for tup in tuples)
     _write_text(args.out, lines)
-    metadata = _run_metadata(args, "encode")
-    metadata["trees"] = len(tuples)
-    metadata["skipped_empty"] = skipped
-    _write_sidecar(args.out, metadata)
-    if skipped:
-        print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
+    _write_counted_sidecar(args, "encode", len(tuples), skipped)
     return 0
 
 
@@ -230,7 +236,7 @@ def cmd_predict(args) -> int:
         result = training.load_checkpoint(args.model)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
-    sentences, _ = _load_sentences(args.input, "predict", _words_and_tags)
+    sentences, skipped = _load_sentences(args.input, "predict", _words_and_tags)
     try:
         with _numeric_warnings_off():
             predicted = training.predict_trees(
@@ -244,7 +250,7 @@ def cmd_predict(args) -> int:
         raise CliError("predict", str(exc))
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))
-    _write_sidecar(args.out, _run_metadata(args, "predict"))
+    _write_counted_sidecar(args, "predict", len(sentences), skipped)
     return 0
 
 

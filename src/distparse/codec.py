@@ -153,9 +153,6 @@ class SparseTable:
             self._levels.append(_compact(level))
             width *= 2
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def argmax(self, lo: int, hi: int) -> int:
         """Leftmost index of the maximum of ``values[lo:hi]``."""
         if not 0 <= lo < hi <= len(self._values):
@@ -411,7 +408,7 @@ def from_json_line(line: str) -> DistanceTuple:
     (numbers for ``distances``, strings for the rest), a word or tag that
     a bracketed tree cannot hold (empty, or with whitespace or a
     parenthesis), or a non-finite distance. Labels are checked where they
-    are read back, by :func:`~distparse.binarize.debinarize`."""
+    are read back, by :func:`decode_tree`."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")

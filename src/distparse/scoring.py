@@ -26,7 +26,7 @@ class EvaluationError(ValueError):
 
 @dataclass
 class EvalCounts:
-    """Additive per-corpus bracket and label counts."""
+    """Per-corpus bracket and label counts, summed one sentence at a time."""
 
     matched_labeled: int = 0
     matched_unlabeled: int = 0
@@ -36,18 +36,6 @@ class EvalCounts:
     words: int = 0
     matched_split_labels: int = 0
     splits: int = 0
-
-    def __add__(self, other: "EvalCounts") -> "EvalCounts":
-        return EvalCounts(
-            self.matched_labeled + other.matched_labeled,
-            self.matched_unlabeled + other.matched_unlabeled,
-            self.gold_total + other.gold_total,
-            self.pred_total + other.pred_total,
-            self.matched_word_labels + other.matched_word_labels,
-            self.words + other.words,
-            self.matched_split_labels + other.matched_split_labels,
-            self.splits + other.splits,
-        )
 
     def add_pair(self, gold: TreeReading, pred: TreeReading) -> None:
         """Count one sentence whose gold and predicted words agree."""

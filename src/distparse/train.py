@@ -95,9 +95,9 @@ _FLOAT_RULES = {
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings; the fields are the keys of a ``--config`` file.
-    Rejects, with ``ValueError``, fewer than one epoch, a model dimension
-    below 1, a float that breaks its :data:`_FLOAT_RULES` rule or is not
-    finite, and an unknown loss or decode engine."""
+    Rejects, with ``ValueError``, fewer than one epoch, a negative seed, a
+    model dimension below 1, a float that breaks its :data:`_FLOAT_RULES`
+    rule or is not finite, and an unknown loss or decode engine."""
 
     epochs: int = 20
     seed: int = 0
@@ -116,6 +116,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         dims = (self.embed_dim, self.hidden_dim, self.conv_channels, self.ff_hidden)
         model.ModelConfig(1, 1, 1, 1, *dims).validate()
         for name, (holds, rule) in _FLOAT_RULES.items():
@@ -479,7 +481,7 @@ def save_checkpoint(
 def load_checkpoint(path) -> TrainResult:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a recognized checkpoint file")
     model_config = model.ModelConfig(**payload["model"])
     model_config.validate()

@@ -154,7 +154,11 @@ class TestEncodeDecode:
         metadata = json.loads(ckpt.read_text())["metadata"]
         assert metadata["skipped_empty"] == {"train": 1, "dev": 0}
         pred = tmp_path / "pred.mrg"
+        capsys.readouterr()
         assert main(["predict", str(src), "--model", str(ckpt), "--out", str(pred)]) == 0
+        assert capsys.readouterr().err == "warning: 1 trees empty after preprocessing\n"
+        sidecar = json.loads((tmp_path / "pred.mrg.run.json").read_text())
+        assert (sidecar["trees"], sidecar["skipped_empty"]) == (2, 1)
         predicted = parse_bracketed(pred.read_text())
         assert [[leaf.word for leaf in leaves(t)] for t in predicted] == [
             ["dog"],
@@ -558,6 +562,8 @@ class TestTrainPredictScore:
             ("", ["--epochs", "0"]),
             ("distance_loss = foo\n", []),
             ("decode_engine = foo\n", []),
+            ("seed = -3\n", []),
+            ("", ["--seed", "-1"]),
         ],
     )
     def test_invalid_config_value_rejected(
@@ -679,13 +685,13 @@ class TestTrainPredictScore:
             "error: score: label '∅' collides with the empty-label marker\n"
         )
 
-    def test_bad_checkpoint_fails_cleanly(self, tmp_path, mini_treebank, capsys):
+    @pytest.mark.parametrize("payload", ["{}", "[]", '"x"', "3", "null"])
+    def test_bad_checkpoint_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, payload
+    ):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
-        assert main(
-            ["predict", str(mini_treebank), "--model", str(bogus)]
-        ) == 1
-        assert capsys.readouterr().err.startswith("error: checkpoint:")
+        bogus.write_text(payload)
+        self._assert_checkpoint_error(capsys, mini_treebank, bogus, tmp_path)
 
     def _broken_checkpoint(self, tmp_path, mini_treebank, damage):
         ckpt = tmp_path / "model.json"
