@@ -204,6 +204,8 @@ def cmd_train(args) -> int:
     )
     if not train_tuples:
         raise CliError("train", f"no usable trees in {args.train}")
+    if args.dev and not dev_tuples:
+        raise CliError("train", f"no usable trees in {args.dev}")
 
     def log(message: str) -> None:
         print(message, file=sys.stderr)
@@ -234,7 +236,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     try:
         result = training.load_checkpoint(args.model)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
     sentences, skipped = _load_sentences(args.input, "predict", _words_and_tags)
     try:

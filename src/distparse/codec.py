@@ -334,17 +334,21 @@ def binary_trees_equal(a: BinaryTree, b: BinaryTree) -> bool:
     return True
 
 
+# one encoder for every line: ``json.dumps`` with an option builds a new one
+# per call
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def to_json_line(tup: DistanceTuple) -> str:
     """One-line JSON interchange record for a tuple."""
-    return json.dumps(
+    return _JSON_ENCODER.encode(
         {
             "words": list(tup.words),
             "tags": list(tup.tags),
             "unary_labels": list(tup.unary_labels),
             "distances": [float(d) for d in tup.distances],
             "split_labels": list(tup.split_labels),
-        },
-        ensure_ascii=False,
+        }
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -483,11 +483,25 @@ def load_checkpoint(path) -> TrainResult:
         payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a recognized checkpoint file")
+    for section in ("model", "vocab", "params"):
+        if section not in payload:
+            raise ValueError(f"no '{section}' section")
+        if not isinstance(payload[section], dict):
+            raise ValueError(f"{section} must be a JSON object")
+    model_fields = {f.name: f for f in fields(model.ModelConfig)}
+    for name, value in payload["model"].items():
+        if name not in model_fields:
+            raise ValueError(f"model.{name} is not a model field")
+        if type(value) is not int:  # not bool, an int subclass
+            raise ValueError(f"model.{name} must be an integer")
+    for name, f in model_fields.items():
+        if f.default is MISSING and name not in payload["model"]:
+            raise ValueError(f"model.{name} is missing")
     model_config = model.ModelConfig(**payload["model"])
     model_config.validate()
     names = ("words", "tags", "word_labels", "split_labels")
     for name in names:  # vocabulary "<x>s" is indexed by ModelConfig.<x>_vocab
-        entries, dimension = payload["vocab"][name], f"{name[:-1]}_vocab"
+        entries, dimension = payload["vocab"].get(name), f"{name[:-1]}_vocab"
         if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
             raise ValueError(f"vocab.{name} must be a list of strings")
         if len(entries) != getattr(model_config, dimension):
@@ -511,7 +525,12 @@ def load_checkpoint(path) -> TrainResult:
     if set(payload["params"]) != set(slots):
         raise ValueError("checkpoint parameter names do not match the model")
     for name in sorted(slots):
-        values = np.asarray(payload["params"][name], dtype=np.float64)
+        try:
+            values = np.asarray(payload["params"][name])
+        except ValueError:  # nested lists of uneven lengths
+            values = None
+        if values is None or values.dtype.kind not in "iuf":
+            raise ValueError(f"parameter {name} must hold only numbers")
         if values.shape != slots[name].shape:
             raise ValueError(
                 f"parameter {name} has shape {values.shape}, "

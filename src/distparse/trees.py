@@ -6,7 +6,11 @@ objects carrying the word and its POS tag, so ``(VB go)`` is a leaf and
 
 One reader loop builds the trees as written (:func:`parse_bracketed`) or
 straight away as :func:`preprocess` cleans them (:func:`read_treebank`,
-which the commands read), one copy per tree.
+which the commands read), one copy per tree. A read keeps one string per
+distinct word, tag and label token, however often the text repeats it:
+the trees it returns all refer to that string (a label that preprocessing
+cuts, ``NP-SBJ`` to ``NP``, is a new one), while each leaf and node stays
+its own object. The tables that find the strings live only for the read.
 """
 
 from __future__ import annotations
@@ -94,10 +98,19 @@ def _read(text: str, leaf, node) -> list:
     # open nodes: [label-or-None, start offset, children, holds a token,
     # count of children dropped]
     stack: list[list] = []
+    # one string per distinct token; the tables die with the call. A
+    # preterminal's whole text maps to its (word, tag), so a repeated one
+    # costs one lookup; a word, tag or label maps to its first string
+    pairs: dict[str, tuple[str, str]] = {}
+    strings: dict[str, str] = {}
     for match in _TOKEN.finditer(text):
-        tag, word = match.groups()
-        if tag is not None:
-            item = leaf(word, tag)
+        if match.lastindex:
+            pair = pairs.get(tok := match.group())
+            if pair is None:
+                tag, word = match.groups()
+                word, tag = strings.setdefault(word, word), strings.setdefault(tag, tag)
+                pair = pairs[tok] = (word, tag)
+            item = leaf(*pair)
         elif (tok := match.group()) == "(":
             stack.append([None, match.start(), [], False, 0])
             continue
@@ -106,7 +119,7 @@ def _read(text: str, leaf, node) -> list:
                 raise TreebankError(f"token '{tok}' outside any tree", match.start())
             top = stack[-1]
             if top[0] is None and not top[2] and not top[4]:
-                top[0] = tok
+                top[0] = strings.setdefault(tok, tok)
             else:
                 top[2].append(tok)
                 top[3] = True

@@ -6,9 +6,10 @@ reproducible under fixed seeds.
 
 from __future__ import annotations
 
-import numpy as np
-
+import re
 from collections import Counter
+
+import numpy as np
 
 from distparse.binarize import (
     CHAIN_SEPARATOR,
@@ -259,10 +260,46 @@ def write_treebank(trees, path) -> None:
 # Reference implementations of the tree walks that single-pass versions
 # replaced: the post-order folds of debinarize and binarize, the two-pass
 # serializer and encoder, the span walk that left the words to a second
-# walk, and the label accuracy that scoring read off encoded tuples. The
-# property tests require the library's versions to equal these. Only the
+# walk, and the label accuracy that scoring read off encoded tuples; and a
+# treebank reader that shares no token or string table with the library's.
+# The property tests require the library's versions to equal these. Only the
 # label check (``check_label``, tested on its own) is shared with the
 # library, so a reference reports the same message for the same label.
+
+
+def reference_parse_bracketed(text: str) -> list:
+    """Bracketed trees read token by token, a preterminal from its three
+    tokens; raises ``ValueError`` (no message or offset) on malformed text."""
+    trees: list = []
+    stack: list[list] = []  # open nodes: [label or None, children and tokens]
+    for token in re.findall(r"[()]|[^()\s]+", text):
+        if token == "(":
+            stack.append([None, []])
+            continue
+        if not stack:
+            raise ValueError("outside any tree")
+        if token != ")":
+            if stack[-1][0] is None and not stack[-1][1]:
+                stack[-1][0] = token
+            else:
+                stack[-1][1].append(token)
+            continue
+        label, children = stack.pop()
+        tokens = [child for child in children if isinstance(child, str)]
+        if label is None:
+            if len(children) != 1:
+                raise ValueError("unlabeled node without one child")
+            node = children[0]
+        elif len(children) == 1 and tokens:
+            node = Leaf(tokens[0], label)
+        elif not children or tokens:
+            raise ValueError("no children, or tokens among them")
+        else:
+            node = NaryTree(label, children)
+        (stack[-1][1] if stack else trees).append(node)
+    if stack:
+        raise ValueError("input ended inside a tree")
+    return trees
 
 
 def reference_debinarize(tree):

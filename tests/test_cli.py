@@ -500,6 +500,21 @@ class TestTrainPredictScore:
         assert err == f"error: train: {bad}: {BAD_LABEL_MESSAGE}\n"
         assert not ckpt.exists() and not metrics.exists()
 
+    @pytest.mark.parametrize("bad_file", ["train", "dev"])
+    @pytest.mark.parametrize("text", ["", "( (NP (-NONE- *)) )\n"], ids=["empty", "traces"])
+    def test_file_with_no_usable_trees_fails(
+        self, tmp_path, mini_treebank, capsys, bad_file, text
+    ):
+        bad = tmp_path / "none.mrg"
+        bad.write_text(text)
+        files = {"train": mini_treebank, "dev": mini_treebank, bad_file: bad}
+        ckpt, metrics = tmp_path / "model.json", tmp_path / "metrics.jsonl"
+        argv = ["train", "--train", str(files["train"]), "--dev", str(files["dev"])]
+        argv += ["--epochs", "1", "--out", str(ckpt), "--metrics", str(metrics)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: train: no usable trees in {bad}\n"
+        assert not ckpt.exists() and not metrics.exists()
+
     def test_same_seed_gives_identical_metrics(self, tmp_path, mini_treebank):
         ckpt = tmp_path / "model.json"
         metrics = tmp_path / "metrics.jsonl"
@@ -703,7 +718,7 @@ class TestTrainPredictScore:
         ckpt.write_text(json.dumps(payload))
         return ckpt
 
-    def _assert_checkpoint_error(self, capsys, mini_treebank, ckpt, tmp_path):
+    def _assert_checkpoint_error(self, capsys, mini_treebank, ckpt, tmp_path, message=None):
         capsys.readouterr()
         out = tmp_path / "pred.mrg"
         assert main(
@@ -712,7 +727,31 @@ class TestTrainPredictScore:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint:")
         assert err.count("\n") == 1 and "Traceback" not in err
+        if message is not None:
+            assert err == f"error: checkpoint: {ckpt}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.update(vocab="x"), "vocab must be a JSON object"),
+            (lambda p: p.update(model=[]), "model must be a JSON object"),
+            (lambda p: p.update(params=3), "params must be a JSON object"),
+            (lambda p: p.pop("model"), "no 'model' section"),
+            (lambda p: p["model"].update(word_vocab="x"), "model.word_vocab must be an integer"),
+            (lambda p: p["model"].update(extra=1), "model.extra is not a model field"),
+            (lambda p: p["params"].update(conv_b="abc"), "parameter conv_b must hold only numbers"),
+        ],
+        ids=["vocab", "model", "params", "no-model", "word_vocab", "extra", "conv_b"],
+    )
+    def test_checkpoint_section_of_the_wrong_kind_is_named(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, damage, message
+    ):
+        payload = json.loads(small_checkpoint.read_text())
+        damage(payload)
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload))
+        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path, message)
 
     def test_truncated_embedding_checkpoint_fails_cleanly(
         self, tmp_path, mini_treebank, capsys

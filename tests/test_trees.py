@@ -1,4 +1,5 @@
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,12 @@ from distparse.trees import (
     serialize_bracketed,
     strip_function_tag,
 )
-from helpers import MALFORMED_TREEBANKS, penn_style, random_nary_tree
+from helpers import (
+    MALFORMED_TREEBANKS,
+    penn_style,
+    random_nary_tree,
+    reference_parse_bracketed,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
 
@@ -301,3 +307,74 @@ class TestReadTreebank:
             read_treebank("( (-NONE- *) word)")
         with pytest.raises(TreebankError, match="node 'S' mixes tokens and subtrees"):
             read_treebank("(S (-NONE- *) a b)")
+
+
+# texts where one word, tag or label is written more than one way: spacing
+# inside a preterminal, a word under two tags, a label spelled like a word
+# or a tag
+SPELLINGS = {
+    "spacing": "(NP (DT the) ( DT  the ) (DT\tthe\t) (\nDT\nthe\n) (NN dog))",
+    "two tags": "(S (NP (DT that)) (SBAR (IN that) (S (VP (VB go)))))",
+    "label as word": "(NP (NN NP) (NP (NNS NN)) (NN dog))\n(S (NN S))",
+}
+
+
+def strings_by_value(trees):
+    """The ids of every word, tag and label object in ``trees`` (kept
+    alive by them), grouped by ``(kind, value)``."""
+    found = defaultdict(set)
+    for tree in trees:
+        for leaf in leaves(tree):
+            found["word", leaf.word].add(id(leaf.word))
+            found["tag", leaf.tag].add(id(leaf.tag))
+        for node in internal_nodes(tree):
+            found["label", node.label].add(id(node.label))
+    return found
+
+
+class TestSharedStrings:
+    """One read keeps one string per distinct token; the trees it builds
+    stay separate objects."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(SAMPLE.read_text(encoding="utf-8"), id="sample"), *SPELLINGS.values()],
+    )
+    def test_parse_bracketed_equals_reference(self, text):
+        assert parse_bracketed(text) == reference_parse_bracketed(text)
+
+    def test_seeded_mutations_that_parse_equal_reference(self):
+        rng = np.random.default_rng(1010)
+        clean = 0
+        for _ in range(2000):
+            text = mutated_text(rng)
+            try:
+                got = parse_bracketed(text)
+            except TreebankError:
+                with pytest.raises(ValueError):
+                    reference_parse_bracketed(text)
+                continue
+            assert got == reference_parse_bracketed(text), text
+            clean += 1
+        assert clean > 300
+
+    def test_equal_tokens_are_one_object(self):
+        text = "\n".join([SAMPLE.read_text(encoding="utf-8"), *SPELLINGS.values()])
+        trees = parse_bracketed(text)
+        shared = strings_by_value(trees)
+        assert [key for key, ids in shared.items() if len(ids) > 1] == []
+        # one string for a word and a label spelled alike
+        assert shared["word", "NP"] == shared["label", "NP"]
+        # preprocessing cuts function tags into new labels; words and tags
+        # stay shared
+        cleaned = strings_by_value(read_treebank(text))
+        assert [
+            key for key, ids in cleaned.items() if key[0] != "label" and len(ids) > 1
+        ] == []
+
+    def test_changing_one_tree_leaves_equal_ones_alone(self):
+        first, second = parse_bracketed("(NP (DT the) (DT the))\n(NP (DT the) (NN dog))")
+        first.label = "X"
+        first.children[0].word = "a"
+        assert first == NaryTree("X", [Leaf("a", "DT"), Leaf("the", "DT")])
+        assert second == NaryTree("NP", [Leaf("the", "DT"), Leaf("dog", "NN")])
