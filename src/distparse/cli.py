@@ -13,12 +13,12 @@ Exit codes: 0 on success, 1 on failure with a one-line
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import sys
-import warnings
 from dataclasses import asdict, fields
+
+import numpy as np
 
 from . import __version__, bench, codec, model, scoring, train as training
 from .binarize import LabelError
@@ -187,15 +187,6 @@ def _train_config(args) -> training.TrainConfig:
         raise CliError("config", str(exc))
 
 
-@contextlib.contextmanager
-def _numeric_warnings_off():
-    """Silences numpy's overflow warnings: training and prediction check
-    their numbers and stop with one ``NonFiniteError`` line instead."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
-
-
 def cmd_train(args) -> int:
     config = _train_config(args)
     train_tuples, skipped_train = _load_sentences(args.train, "train", encode_tree)
@@ -210,8 +201,8 @@ def cmd_train(args) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
-    try:
-        with _numeric_warnings_off():
+    try:  # overflow ends in NonFiniteError; numpy's warnings would repeat it
+        with np.errstate(all="ignore"):
             result = training.train(train_tuples, dev_tuples, config, log=log)
     except training.NonFiniteError as exc:
         raise CliError("train", str(exc))
@@ -240,7 +231,7 @@ def cmd_predict(args) -> int:
         raise CliError("checkpoint", f"{args.model}: {exc}")
     sentences, skipped = _load_sentences(args.input, "predict", _words_and_tags)
     try:
-        with _numeric_warnings_off():
+        with np.errstate(all="ignore"):
             predicted = training.predict_trees(
                 result.params,
                 result.model_config,

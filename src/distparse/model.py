@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,29 +51,25 @@ from . import losses
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions of the network. Defaults are desk-scale."""
+    """Dimensions of the network, each an ``int`` of at least 1; building
+    one with any other value raises ``ValueError`` naming the field. The
+    desk-scale defaults live in ``train.TrainConfig``."""
 
     word_vocab: int
     tag_vocab: int
     word_label_vocab: int
     split_label_vocab: int
-    embed_dim: int = 16
-    hidden_dim: int = 32  # per LSTM direction
-    conv_channels: int = 32
-    ff_hidden: int = 32
+    embed_dim: int
+    hidden_dim: int  # per LSTM direction
+    conv_channels: int
+    ff_hidden: int
 
-    def validate(self) -> None:
-        for name in (
-            "word_vocab",
-            "tag_vocab",
-            "word_label_vocab",
-            "split_label_vocab",
-            "embed_dim",
-            "hidden_dim",
-            "conv_channels",
-            "ff_hidden",
-        ):
-            if getattr(self, name) < 1:
+    def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if type(value) is not int:  # not bool, an int subclass
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -157,7 +153,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatParams:
     The draws run embeddings, then per LSTM forward Wx, forward Wh, backward
     Wx, backward Wh, then the conv and each head's W1 and W2.
     """
-    config.validate()
     h = config.hidden_dim
     params = FlatParams(param_shapes(config))
     for name in ("embed_word", "embed_tag"):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,8 @@ class Vocabulary:
 
     Words and tags fall back to index 0, which a literal ``<unk>`` shares;
     labels do not (they are outputs, drawn only from the training set).
+    Building one raises ``ValueError`` for a repeated entry, and
+    ``LabelError`` for a non-empty label that ``split_chain`` rejects.
     """
 
     words: tuple[str, ...]
@@ -50,18 +51,19 @@ class Vocabulary:
         )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_word_index", {w: i for i, w in enumerate(self.words)}
-        )
-        object.__setattr__(self, "_tag_index", {t: i for i, t in enumerate(self.tags)})
-        object.__setattr__(
-            self, "_word_label_index", {u: i for i, u in enumerate(self.word_labels)}
-        )
-        object.__setattr__(
-            self,
-            "_split_label_index",
-            {c: i for i, c in enumerate(self.split_labels)},
-        )
+        for name in (f.name for f in fields(self)):
+            entries = getattr(self, name)
+            index = {entry: i for i, entry in enumerate(entries)}
+            if len(index) < len(entries):  # the index keeps a repeat's last id
+                repeated = next(e for i, e in enumerate(entries) if index[e] != i)
+                raise ValueError(f"{name} repeats entry {repeated!r}")
+            try:
+                for label in entries if name.endswith("_labels") else ():
+                    if label != EMPTY_LABEL:
+                        split_chain(label)
+            except LabelError as exc:
+                raise LabelError(f"{name}: {exc}") from None
+            object.__setattr__(self, f"_{name[:-1]}_index", index)  # _word_index, …
 
     def word_id(self, word: str) -> int:
         return self._word_index.get(word, 0)
@@ -94,9 +96,10 @@ _FLOAT_RULES = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training settings; the fields are the keys of a ``--config`` file.
-    Rejects, with ``ValueError``, fewer than one epoch, a negative seed, a
-    model dimension below 1, a float that breaks its :data:`_FLOAT_RULES`
+    """Training settings, and the one place their desk-scale defaults are
+    written; the fields are the keys of a ``--config`` file. Rejects, with
+    ``ValueError``, fewer than one epoch, a negative seed, a model dimension
+    that ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
     rule or is not finite, and an unknown loss or decode engine."""
 
     epochs: int = 20
@@ -119,7 +122,7 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         dims = (self.embed_dim, self.hidden_dim, self.conv_channels, self.ff_hidden)
-        model.ModelConfig(1, 1, 1, 1, *dims).validate()
+        model.ModelConfig(1, 1, 1, 1, *dims)
         for name, (holds, rule) in _FLOAT_RULES.items():
             value = getattr(self, name)
             if not (math.isfinite(value) and holds(value)):
@@ -152,11 +155,11 @@ class Adam:
     def __init__(
         self,
         params: np.ndarray,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        learning_rate: float,
+        beta1: float,
+        beta2: float,
+        eps: float,
+        weight_decay: float,
     ):
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -436,15 +439,18 @@ CHECKPOINT_FORMAT = "distparse.checkpoint"
 _DIRECTIONS = ("fwd", "bwd")
 
 
-def _checkpoint_arrays(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _checkpoint_arrays(params: dict) -> dict:
     """The arrays under their checkpoint names: each direction-stacked LSTM
     array ``<lstm>_<kind>`` splits into ``<lstm>_fwd_<kind>`` and
-    ``<lstm>_bwd_<kind>``. The values are views into ``params``."""
+    ``<lstm>_bwd_<kind>``. The values are views into ``params``; given
+    shapes (:func:`~distparse.model.param_shapes`) instead of arrays, the
+    values are the checkpoint arrays' shapes."""
     arrays = {}
     for name, value in params.items():
         if name.startswith("lstm_"):
             prefix, _, kind = name.rpartition("_")
-            for direction, half in zip(_DIRECTIONS, value):
+            halves = (value[1:],) * 2 if isinstance(value, tuple) else value
+            for direction, half in zip(_DIRECTIONS, halves):
                 arrays[f"{prefix}_{direction}_{kind}"] = half
         else:
             arrays[name] = value
@@ -463,12 +469,7 @@ def save_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "version": 1,
         "model": asdict(result.model_config),
-        "vocab": {
-            "words": list(result.vocab.words),
-            "tags": list(result.vocab.tags),
-            "word_labels": list(result.vocab.word_labels),
-            "split_labels": list(result.vocab.split_labels),
-        },
+        "vocab": {f.name: getattr(result.vocab, f.name) for f in fields(Vocabulary)},
         "params": {name: arrays[name].tolist() for name in sorted(arrays)},
         "metadata": metadata or {},
     }
@@ -479,6 +480,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> TrainResult:
+    """Read a :func:`save_checkpoint` file; any fault raises a one-line
+    ``ValueError``. All eight ``model`` fields are required; ``ModelConfig``
+    and :class:`Vocabulary` check their own values, their errors prefixed
+    ``model.`` and ``vocab.``. Every stored array's shape is checked before
+    anything is sized from ``model``, so a huge dimension is a mismatch."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -488,18 +494,18 @@ def load_checkpoint(path) -> TrainResult:
             raise ValueError(f"no '{section}' section")
         if not isinstance(payload[section], dict):
             raise ValueError(f"{section} must be a JSON object")
-    model_fields = {f.name: f for f in fields(model.ModelConfig)}
-    for name, value in payload["model"].items():
+    model_fields = [f.name for f in fields(model.ModelConfig)]
+    for name in payload["model"]:
         if name not in model_fields:
             raise ValueError(f"model.{name} is not a model field")
-        if type(value) is not int:  # not bool, an int subclass
-            raise ValueError(f"model.{name} must be an integer")
-    for name, f in model_fields.items():
-        if f.default is MISSING and name not in payload["model"]:
+    for name in model_fields:
+        if name not in payload["model"]:
             raise ValueError(f"model.{name} is missing")
-    model_config = model.ModelConfig(**payload["model"])
-    model_config.validate()
-    names = ("words", "tags", "word_labels", "split_labels")
+    try:
+        model_config = model.ModelConfig(**payload["model"])
+    except ValueError as exc:
+        raise ValueError(f"model.{exc}") from None
+    names = [f.name for f in fields(Vocabulary)]
     for name in names:  # vocabulary "<x>s" is indexed by ModelConfig.<x>_vocab
         entries, dimension = payload["vocab"].get(name), f"{name[:-1]}_vocab"
         if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
@@ -509,34 +515,31 @@ def load_checkpoint(path) -> TrainResult:
                 f"vocab.{name} has {len(entries)} entries "
                 f"but model.{dimension} is {getattr(model_config, dimension)}"
             )
-        if len(set(entries)) < len(entries):
-            repeated = next(e for e, count in Counter(entries).items() if count > 1)
-            raise ValueError(f"vocab.{name} repeats entry {repeated!r}")
-    vocab = Vocabulary(**{name: tuple(payload["vocab"][name]) for name in names})
-    for name in ("word_labels", "split_labels"):
-        for label in getattr(vocab, name):
-            if label != EMPTY_LABEL:
-                try:
-                    split_chain(label)
-                except LabelError as exc:
-                    raise LabelError(f"vocab.{name}: {exc}") from None
-    params = model.FlatParams(model.param_shapes(model_config))
-    slots = _checkpoint_arrays(params)
-    if set(payload["params"]) != set(slots):
+    try:
+        vocab = Vocabulary(**{name: tuple(payload["vocab"][name]) for name in names})
+    except ValueError as exc:  # LabelError included, and kept
+        raise type(exc)(f"vocab.{exc}") from None
+    layout = model.param_shapes(model_config)
+    shapes = _checkpoint_arrays(layout)
+    if set(payload["params"]) != set(shapes):
         raise ValueError("checkpoint parameter names do not match the model")
-    for name in sorted(slots):
+    stored = {}
+    for name in sorted(shapes):
         try:
             values = np.asarray(payload["params"][name])
         except ValueError:  # nested lists of uneven lengths
             values = None
         if values is None or values.dtype.kind not in "iuf":
             raise ValueError(f"parameter {name} must hold only numbers")
-        if values.shape != slots[name].shape:
+        if values.shape != shapes[name]:
             raise ValueError(
                 f"parameter {name} has shape {values.shape}, "
-                f"the model needs {slots[name].shape}"
+                f"the model needs {shapes[name]}"
             )
         if not np.isfinite(values).all():
             raise ValueError(f"parameter {name} holds non-finite values")
-        slots[name][...] = values
+        stored[name] = values
+    params = model.FlatParams(layout)
+    for name, slot in _checkpoint_arrays(params).items():
+        slot[...] = stored[name]
     return TrainResult(params=params, model_config=model_config, vocab=vocab)

@@ -741,8 +741,25 @@ class TestTrainPredictScore:
             (lambda p: p["model"].update(word_vocab="x"), "model.word_vocab must be an integer"),
             (lambda p: p["model"].update(extra=1), "model.extra is not a model field"),
             (lambda p: p["params"].update(conv_b="abc"), "parameter conv_b must hold only numbers"),
+            (lambda p: p["model"].update(embed_dim=-1), "model.embed_dim must be positive"),
+            (lambda p: p["model"].update(hidden_dim=True), "model.hidden_dim must be an integer"),
+            (lambda p: p["model"].pop("ff_hidden"), "model.ff_hidden is missing"),
+            # a huge dimension is a shape mismatch, found before anything is
+            # allocated from it (the small model has 4 units everywhere)
+            (
+                lambda p: p["model"].update(ff_hidden=10**12),
+                "parameter dist_head_W1 has shape (8, 4), "
+                "the model needs (8, 1000000000000)",
+            ),
+            (
+                lambda p: p["model"].update(hidden_dim=10**9),
+                "parameter conv_W has shape (16, 4), the model needs (4000000000, 4)",
+            ),
         ],
-        ids=["vocab", "model", "params", "no-model", "word_vocab", "extra", "conv_b"],
+        ids=[
+            "vocab", "model", "params", "no-model", "word_vocab", "extra", "conv_b",
+            "embed_dim", "hidden_dim", "no-ff_hidden", "huge-ff_hidden", "huge-hidden_dim",
+        ],
     )
     def test_checkpoint_section_of_the_wrong_kind_is_named(
         self, tmp_path, mini_treebank, capsys, small_checkpoint, damage, message

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,17 @@ class TestShapes:
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(0, 1, 1, 1).validate()
+            model.ModelConfig(0, 1, 1, 1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0, "must be positive"), (-1, "must be positive"),
+         (True, "must be an integer"), (16.0, "must be an integer")],
+    )
+    @pytest.mark.parametrize("field", ["word_vocab", "embed_dim", "ff_hidden"])
+    def test_config_names_the_field_it_rejects(self, field, bad, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            replace(tiny_config(), **{field: bad})
 
 
 class TestBatch:

@@ -1,3 +1,4 @@
+import ast
 import os
 import pkgutil
 import subprocess
@@ -33,3 +34,26 @@ def test_each_submodule_imports_on_its_own():
         "assert callable(b.binarize) and callable(b.debinarize)\n"
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_imported_name_is_used():
+    # a standard-library stand-in for a linter's unused-import rule, so
+    # that deleting code leaves no import behind
+    unused = []
+    for path in sorted((SRC / "distparse").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    imported[alias.asname or alias.name.partition(".")[0]] = node
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {name}"
+            for name, node in imported.items()
+            if name not in used
+        ]
+    assert unused == []

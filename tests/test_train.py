@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distparse import model, pcfg
-from distparse.binarize import EMPTY_LABEL, binarize, debinarize
+from distparse.binarize import EMPTY_LABEL, LabelError, binarize, debinarize
 from distparse.codec import ENGINES, decode, encode
 from distparse.scoring import score
 from distparse.train import (
@@ -72,6 +72,48 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.build([])
 
+    def test_build_sorts_each_inventory_and_indexes_it_in_order(self):
+        train_tuples, _ = small_corpus(50, 0)
+        vocab = Vocabulary.build(train_tuples)
+
+        def inventory(column):
+            return sorted({item for tup in train_tuples for item in column(tup)})
+
+        assert vocab.words == ("<unk>", *inventory(lambda tup: tup.words))
+        assert vocab.tags == ("<unk>", *inventory(lambda tup: tup.tags))
+        assert vocab.word_labels == tuple(
+            sorted({EMPTY_LABEL, *inventory(lambda tup: tup.unary_labels)})
+        )
+        assert vocab.split_labels == tuple(
+            sorted({EMPTY_LABEL, *inventory(lambda tup: tup.split_labels)})
+        )
+        assert [vocab.word_id(w) for w in vocab.words] == list(range(len(vocab.words)))
+        assert [vocab.tag_id(t) for t in vocab.tags] == list(range(len(vocab.tags)))
+        for position, label in enumerate(vocab.word_labels):
+            assert vocab.word_label_id(label) == position
+        for position, label in enumerate(vocab.split_labels):
+            assert vocab.split_label_id(label) == position
+
+    @staticmethod
+    def _inventories(field, *extra):
+        """Four small inventories, ``extra`` appended to ``field``'s."""
+        inventories = dict(
+            words=("<unk>", "cat"), tags=("<unk>", "NN"),
+            word_labels=(EMPTY_LABEL, "NP"), split_labels=(EMPTY_LABEL, "S"),
+        )
+        inventories[field] += extra
+        return inventories
+
+    @pytest.mark.parametrize("field", ["words", "tags", "word_labels", "split_labels"])
+    def test_repeated_entry_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} repeats entry 'dog'$"):
+            Vocabulary(**self._inventories(field, "dog", "VP", "dog"))
+
+    @pytest.mark.parametrize("field", ["word_labels", "split_labels"])
+    def test_label_decoding_would_reject_is_refused(self, field):
+        with pytest.raises(LabelError, match=f"^{field}: empty nonterminal label"):
+            Vocabulary(**self._inventories(field, "S+"))
+
 
 def reference_adam(params, grads_per_step, lr, b1, b2, eps, wd):
     """Adam as a loop over named arrays, one temporary per operation."""
@@ -96,28 +138,35 @@ def reference_adam(params, grads_per_step, lr, b1, b2, eps, wd):
 class TestAdam:
     def test_moves_toward_minimum(self):
         w = np.array([5.0, -3.0])
-        opt = Adam(w, learning_rate=0.1)
+        opt = Adam(
+            w, learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0
+        )
         for _ in range(500):
             opt.step(w, 2.0 * w)
         np.testing.assert_allclose(w, 0.0, atol=1e-3)
 
     def test_weight_decay_shrinks_unused_parameters(self):
         w = np.array([1.0])
-        opt = Adam(w, learning_rate=0.01, weight_decay=0.1)
+        opt = Adam(
+            w, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.1
+        )
         for _ in range(100):
             opt.step(w, np.zeros(1))
         assert abs(w[0]) < 1.0
 
     def test_step_counter(self):
         w = np.zeros(2)
-        opt = Adam(w)
+        opt = Adam(
+            w, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0
+        )
         opt.step(w, np.ones(2))
         opt.step(w, np.ones(2))
         assert opt.step_count == 2
 
     def test_flat_step_is_bitwise_the_per_array_loop(self):
         config = model.ModelConfig(
-            word_vocab=40, tag_vocab=12, word_label_vocab=9, split_label_vocab=11
+            word_vocab=40, tag_vocab=12, word_label_vocab=9, split_label_vocab=11,
+            embed_dim=16, hidden_dim=32, conv_channels=32, ff_hidden=32,
         )
         rng = np.random.default_rng(11)
         params = model.init_params(config, rng)
