@@ -204,7 +204,7 @@ def cmd_train(args) -> int:
     try:  # overflow ends in NonFiniteError; numpy's warnings would repeat it
         with np.errstate(all="ignore"):
             result = training.train(train_tuples, dev_tuples, config, log=log)
-    except training.NonFiniteError as exc:
+    except ValueError as exc:  # NonFiniteError, or a dev tree it cannot label
         raise CliError("train", str(exc))
     metadata = _run_metadata(args, "train")
     metadata["train_config"] = asdict(config)
@@ -239,7 +239,7 @@ def cmd_predict(args) -> int:
                 sentences,
                 engine=args.engine,
             )
-    except training.NonFiniteError as exc:
+    except ValueError as exc:  # NonFiniteError, or a root it cannot label
         raise CliError("predict", str(exc))
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))

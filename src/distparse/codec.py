@@ -241,9 +241,10 @@ _ENGINES = {"scan": _scan, "rmq": _rmq, "stack": _stack}
 ENGINES = tuple(_ENGINES)
 
 
-def root_split(tup: DistanceTuple) -> int:
-    """The split every engine roots at: the leftmost maximum, or word ``~0``."""
-    return tup.distances.index(max(tup.distances)) if tup.distances else ~0
+def root_split(distances: Sequence[float]) -> int:
+    """The split every engine roots at, given a tuple's distances: the
+    leftmost maximum, or word ``~0``."""
+    return distances.index(max(distances)) if distances else ~0
 
 
 def _child_indices(tup: DistanceTuple, engine: str) -> tuple[int, list, list]:

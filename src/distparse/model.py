@@ -30,11 +30,14 @@ come after all real steps: the recurrences need no mask, and the padded
 outputs are sliced away. Both directions advance in one loop, stacked on a
 leading axis, and each step computes the whole 4h gate vector with one
 tanh, using sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The conv and the three
-heads run on the whole batch. :func:`forward` and :func:`sentence_loss`
-are the one-sentence batch, which also keeps every step's activated gates
-and tanh(c) for :func:`backward` to read; other batches keep only one
-step's scratch. Prediction (``train.predict_trees``) runs length-sorted
-batches of 32 so that little padding is computed.
+heads run on the whole batch, and the batch comes back as one
+:class:`ForwardResult` of padded arrays with the sentence lengths, which
+the caller reads row by row up to each length. :func:`forward` and
+:func:`sentence_loss` are the one-sentence batch, viewed without its batch
+axis, which also keeps every step's activated gates and tanh(c) for
+:func:`backward` to read; other batches keep only one step's scratch.
+Prediction (``train.predict_scores``) runs length-sorted batches of 32 so
+that little padding is computed.
 """
 
 from __future__ import annotations
@@ -327,9 +330,15 @@ def _softmax_backward(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardResult:
-    distances: np.ndarray  # (n-1,)
-    word_probs: np.ndarray  # (n, word labels)
-    split_probs: np.ndarray  # (n-1, split labels)
+    """The outputs of a padded batch of B sentences, T words the longest
+    and S = T - 1 splits; row b is valid up to ``lengths[b]`` words and
+    ``lengths[b] - 1`` splits. :func:`forward`'s one-sentence view drops the
+    batch axis of the three outputs."""
+
+    distances: np.ndarray  # (B, S)
+    word_probs: np.ndarray  # (B, T, word labels)
+    split_probs: np.ndarray  # (B, S, split labels)
+    lengths: np.ndarray  # (B,)
     cache: dict = field(repr=False, default_factory=dict)
 
 
@@ -339,13 +348,10 @@ def forward_batch(
     word_ids: Sequence[Sequence[int]],
     tag_ids: Sequence[Sequence[int]],
     keep_activations: bool = False,
-) -> list[ForwardResult]:
-    """Run the network once over a batch of sentences of ``n >= 1`` words.
-
-    The batch is padded to its longest sentence; one result per sentence
-    comes back, in input order, sliced to the sentence's own length. All
-    results share the batch cache, which holds what :func:`backward` reads
-    only if ``keep_activations``.
+) -> ForwardResult:
+    """Run the network once over a non-empty batch of sentences of
+    ``n >= 1`` words, padded to the longest one. The cache holds what
+    :func:`backward` reads only if ``keep_activations``.
     """
     if len(word_ids) != len(tag_ids):
         raise ValueError(
@@ -353,7 +359,7 @@ def forward_batch(
         )
     lengths = np.array([len(words) for words in word_ids], dtype=np.int64)
     if lengths.size == 0:
-        return []
+        raise ValueError("cannot run the network on an empty batch")
     for words, tags in zip(word_ids, tag_ids):
         if len(words) == 0:
             raise ValueError("cannot run the network on an empty sentence")
@@ -408,26 +414,20 @@ def forward_batch(
         "tags": tags,
         "word_cache": word_cache,
         "word_head_cache": word_head_cache,
-        "word_probs": word_probs,
         "pairs": pairs,
         "g_split": g_split,
         "split_cache": split_cache,
         "dist_head_cache": dist_head_cache,
         "split_head_cache": split_head_cache,
-        "split_probs": split_probs,
     }
-    distances = dist_out.reshape(batch, splits)
-    word_probs = word_probs.reshape(batch, steps, -1)
-    split_probs = split_probs.reshape(batch, splits, config.split_label_vocab)
-    return [
-        ForwardResult(
-            distances[row, : n - 1],
-            word_probs[row, :n],
-            split_probs[row, : n - 1],
-            cache,
-        )
-        for row, n in enumerate(lengths.tolist())
-    ]
+    # explicit widths: a batch of 1-word sentences has no split column
+    return ForwardResult(
+        dist_out.reshape(batch, splits),
+        word_probs.reshape(batch, steps, config.word_label_vocab),
+        split_probs.reshape(batch, splits, config.split_label_vocab),
+        lengths,
+        cache,
+    )
 
 
 def forward(
@@ -437,9 +437,17 @@ def forward(
     tag_ids: Sequence[int],
 ) -> ForwardResult:
     """Run the full pipeline on one sentence of ``n >= 1`` words: the
-    one-sentence batch of :func:`forward_batch`, keeping what
-    :func:`backward` reads."""
-    return forward_batch(params, config, [word_ids], [tag_ids], True)[0]
+    one-sentence batch of :func:`forward_batch` without its batch axis,
+    distances (n-1,), word_probs (n, ·) and split_probs (n-1, ·), keeping
+    what :func:`backward` reads."""
+    result = forward_batch(params, config, [word_ids], [tag_ids], True)
+    return ForwardResult(
+        result.distances[0],
+        result.word_probs[0],
+        result.split_probs[0],
+        result.lengths,
+        result.cache,
+    )
 
 
 def backward(
@@ -464,7 +472,8 @@ def backward(
     splits = steps - 1
 
     d_split_logits = _softmax_backward(
-        np.asarray(d_split_probs, dtype=np.float64), cache["split_probs"]
+        np.asarray(d_split_probs, dtype=np.float64),
+        result.split_probs.reshape(splits, config.split_label_vocab),
     )
     d_h_split = _ff_backward(
         d_split_logits, cache["split_head_cache"], params, "split_head", grads
@@ -490,7 +499,8 @@ def backward(
     d_h_word[:, :-1] += d_pairs[..., :hidden2]
     d_h_word[:, 1:] += d_pairs[..., hidden2:]
     d_word_logits = _softmax_backward(
-        np.asarray(d_word_probs, dtype=np.float64), cache["word_probs"]
+        np.asarray(d_word_probs, dtype=np.float64),
+        result.word_probs.reshape(steps, config.word_label_vocab),
     )
     d_h_word += _ff_backward(
         d_word_logits, cache["word_head_cache"], params, "word_head", grads

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -334,64 +334,71 @@ def predict_scores(
     model_config: model.ModelConfig,
     vocab: Vocabulary,
     sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
-) -> list[tuple[DistanceTuple, np.ndarray, np.ndarray]]:
-    """One batched forward pass on raw ``(words, tags)`` pairs: per
-    sentence, in input order, the argmax-labeled tuple plus the two label
-    probability matrices.
+) -> list[DistanceTuple]:
+    """One batched forward pass on a non-empty list of raw ``(words,
+    tags)`` pairs: per sentence, in input order, the tuple of its scores
+    and argmax labels.
 
-    Raises :class:`NonFiniteError` if a sentence's scores or label
-    probabilities are not all finite (parameters large enough to overflow),
-    since no tree decoded from them would mean anything.
+    The empty label marks non-constituent spans and is never legal on the
+    root, but an argmax can still put it there; the root split
+    (:func:`~distparse.codec.root_split`) then takes its most probable
+    non-empty label, the leftmost of equals, so every tuple decodes to a
+    well-formed tree. Raises ``ValueError`` if the model has no such label,
+    and :class:`NonFiniteError` if a sentence's scores or label
+    probabilities are not all finite (parameters large enough to
+    overflow), since no tree decoded from them would mean anything.
     """
     word_index, tag_index = vocab._word_index, vocab._tag_index
-    results = model.forward_batch(
+    result = model.forward_batch(
         params,
         model_config,
         [[word_index.get(w, 0) for w in words] for words, _ in sentences],
         [[tag_index.get(t, 0) for t in tags] for _, tags in sentences],
     )
-    if not results:
-        return []
-    # the label probabilities of the whole batch in two checks; the batch
-    # rows include padding, so only a failure is checked sentence by sentence
-    batch_probs = (results[0].cache["word_probs"], results[0].cache["split_probs"])
-    probs_finite = all(np.isfinite(probs).all() for probs in batch_probs)
+    outputs = (result.distances, result.word_probs, result.split_probs)
+    # the whole batch in three checks; the batch rows include padding, so
+    # only a failure is checked sentence by sentence
+    finite = all(np.isfinite(output).all() for output in outputs)
     # the argmax labels of every padded row at once, as Python ints
-    batch, steps = results[0].cache["words"].shape
-    word_label_ids = batch_probs[0].argmax(axis=1).reshape(batch, steps).tolist()
-    split_label_ids = batch_probs[1].argmax(axis=1).reshape(batch, steps - 1).tolist()
+    word_label_ids = result.word_probs.argmax(axis=2).tolist()
+    split_label_ids = result.split_probs.argmax(axis=2).tolist()
     word_labels = vocab.word_labels.__getitem__
     split_labels = vocab.split_labels.__getitem__
     scored = []
-    for (words, tags), result, word_row, split_row in zip(
-        sentences, results, word_label_ids, split_label_ids
-    ):
-        if not (
-            probs_finite
-            or np.isfinite(result.word_probs).all()
-            and np.isfinite(result.split_probs).all()
-        ):
-            raise NonFiniteError(_non_finite_output(words))
+    for row, (words, tags) in enumerate(sentences):
         n = len(words)
-        try:
-            tup = DistanceTuple(
+        if not finite and not all(
+            np.isfinite(output[row, :length]).all()
+            for output, length in zip(outputs, (n - 1, n, n - 1))
+        ):
+            raise NonFiniteError(f"non-finite model output for {_sentence(words)}")
+        distances = result.distances[row, : n - 1].tolist()
+        split_ids = split_label_ids[row][: n - 1]
+        labels = list(map(split_labels, split_ids))
+        root = root_split(distances)
+        if root >= 0 and labels[root] == EMPTY_LABEL:
+            probs = result.split_probs[row, root].copy()
+            probs[split_ids[root]] = -np.inf  # mask the empty label
+            labels[root] = split_labels(int(probs.argmax()))
+            if labels[root] == EMPTY_LABEL:  # the only label the model has
+                raise ValueError(
+                    f"the model has no non-empty split label for the root "
+                    f"of {_sentence(words)}"
+                )
+        scored.append(
+            DistanceTuple(
                 words=tuple(words),
                 tags=tuple(tags),
-                unary_labels=tuple(map(word_labels, word_row[:n])),
-                distances=tuple(result.distances.tolist()),
-                split_labels=tuple(map(split_labels, split_row[: n - 1])),
+                unary_labels=tuple(map(word_labels, word_label_ids[row][:n])),
+                distances=tuple(distances),
+                split_labels=tuple(labels),
             )
-        except ValueError:  # the lengths agree, so a score is not finite
-            raise NonFiniteError(_non_finite_output(words)) from None
-        scored.append((tup, result.word_probs, result.split_probs))
+        )
     return scored
 
 
-def _non_finite_output(words: Sequence[str]) -> str:
-    return (
-        f"non-finite model output for the {len(words)}-word sentence "
-        f"starting {words[0]!r}"
-    )
+def _sentence(words: Sequence[str]) -> str:
+    return f"the {len(words)}-word sentence starting {words[0]!r}"
 
 
 def predict_trees(
@@ -401,15 +408,9 @@ def predict_trees(
     sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
     engine: str = "stack",
 ) -> list[Tree]:
-    """Parse ``(words, tags)`` pairs: predict scores and labels in
-    length-sorted batches of :data:`PREDICT_BATCH` and decode them to
-    n-ary trees, in input order.
-
-    The empty label marks non-constituent spans and is never legal on the
-    root, but an argmax can still put it there; in that case the root split
-    (:func:`~distparse.codec.root_split`) takes its best non-empty label
-    instead, so prediction always yields a well-formed tree.
-    """
+    """Parse ``(words, tags)`` pairs: :func:`predict_scores` in
+    length-sorted batches of :data:`PREDICT_BATCH`, each tuple decoded to
+    an n-ary tree, in input order."""
     order = sorted(range(len(sentences)), key=lambda index: len(sentences[index][0]))
     parsed: list = [None] * len(sentences)
     for start in range(0, len(order), PREDICT_BATCH):
@@ -417,22 +418,9 @@ def predict_trees(
         scored = predict_scores(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )
-        for index, (tup, _, split_probs) in zip(chunk, scored):
-            root = root_split(tup)
-            if root >= 0 and tup.split_labels[root] == EMPTY_LABEL:
-                labels = list(tup.split_labels)
-                labels[root] = _best_non_empty(split_probs[root], vocab.split_labels)
-                tup = replace(tup, split_labels=tuple(labels))
+        for index, tup in zip(chunk, scored):
             parsed[index] = decode_tree(tup, engine)
     return parsed
-
-
-def _best_non_empty(probs: np.ndarray, labels: tuple[str, ...]) -> str:
-    order = np.argsort(-probs)
-    for index in order:
-        if labels[index] != EMPTY_LABEL:
-            return labels[index]
-    return "X"  # degenerate vocabulary: nothing but the empty label
 
 
 CHECKPOINT_FORMAT = "distparse.checkpoint"

@@ -887,6 +887,43 @@ class TestTrainPredictScore:
         assert "error:" not in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 11
 
+    def test_root_the_model_has_no_label_for_fails_predict_cleanly(
+        self, tmp_path, capsys
+    ):
+        # 1-word training trees leave the empty label as the only split
+        # label, so no multi-word sentence can have a labeled root
+        corpus, sentence = tmp_path / "words.mrg", tmp_path / "two.mrg"
+        corpus.write_text("(S (NN cat))\n(S (NN dog))\n", encoding="utf-8")
+        sentence.write_text("(S (NN cat) (NN dog))\n", encoding="utf-8")
+        ckpt, out = tmp_path / "m.json", tmp_path / "pred.mrg"
+        argv = ["train", "--train", str(corpus), "--epochs", "1", "--out", str(ckpt)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["predict", str(sentence), "--model", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: predict: the model has no non-empty split label for the root "
+            "of the 2-word sentence starting 'cat'\n"
+        )
+        assert not out.exists()
+
+    def test_dev_root_the_model_has_no_label_for_fails_train_cleanly(
+        self, tmp_path, capsys
+    ):
+        corpus, dev = tmp_path / "words.mrg", tmp_path / "two.mrg"
+        corpus.write_text("(S (NN cat))\n(S (NN dog))\n", encoding="utf-8")
+        dev.write_text("(S (NN cat) (NN dog))\n", encoding="utf-8")
+        ckpt = tmp_path / "m.json"
+        argv = ["train", "--train", str(corpus), "--dev", str(dev), "--epochs", "1"]
+        assert main(argv + ["--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "error: train: the model has no non-empty split label for the root "
+            "of the 2-word sentence starting 'cat'"
+        )
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_diverging_training_stops_cleanly(self, tmp_path, mini_treebank, capsys):
         config = tmp_path / "diverge.cfg"
         config.write_text("learning_rate = 1e30\n")

@@ -181,7 +181,7 @@ class TestDecode:
         rng = np.random.default_rng(17)
         for _ in range(500):
             tup = random_tuple(rng, int(rng.integers(1, 60)))
-            root = root_split(tup)
+            root = root_split(tup.distances)
             for engine in ENGINES:
                 tree = decode(tup, engine)
                 if root == ~0:

@@ -82,23 +82,35 @@ class TestBatch:
         word_ids = [rng.integers(0, config.word_vocab, n).tolist() for n in lengths]
         tag_ids = [rng.integers(0, config.tag_vocab, n).tolist() for n in lengths]
         batched = model.forward_batch(params, config, word_ids, tag_ids)
-        assert len(batched) == len(lengths)
-        for words, tags, got in zip(word_ids, tag_ids, batched):
+        batch, steps = len(lengths), int(lengths.max())
+        assert batched.lengths.tolist() == lengths.tolist()
+        assert batched.distances.shape == (batch, steps - 1)
+        assert batched.word_probs.shape == (batch, steps, config.word_label_vocab)
+        assert batched.split_probs.shape == (batch, steps - 1, config.split_label_vocab)
+        for row, (words, tags) in enumerate(zip(word_ids, tag_ids)):
+            n = len(words)
             want = model.forward(params, config, words, tags)
-            for name in ("distances", "word_probs", "split_probs"):
-                a, b = getattr(got, name), getattr(want, name)
+            got = {
+                "distances": batched.distances[row, : n - 1],
+                "word_probs": batched.word_probs[row, :n],
+                "split_probs": batched.split_probs[row, : n - 1],
+            }
+            for name, a in got.items():
+                b = getattr(want, name)
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
-            n = len(words)
             tuples = [
                 codec.DistanceTuple(
                     words=tuple(f"w{i}" for i in range(n)),
                     tags=("T",) * n,
-                    unary_labels=tuple(str(i) for i in r.word_probs.argmax(axis=1)),
-                    distances=tuple(r.distances.tolist()),
-                    split_labels=tuple(str(i) for i in r.split_probs.argmax(axis=1)),
+                    unary_labels=tuple(str(i) for i in word_probs.argmax(axis=1)),
+                    distances=tuple(distances.tolist()),
+                    split_labels=tuple(str(i) for i in split_probs.argmax(axis=1)),
                 )
-                for r in (got, want)
+                for distances, word_probs, split_probs in (
+                    (got["distances"], got["word_probs"], got["split_probs"]),
+                    (want.distances, want.word_probs, want.split_probs),
+                )
             ]
             for engine in codec.ENGINES:
                 assert codec.binary_trees_equal(
@@ -106,14 +118,21 @@ class TestBatch:
                 )
 
     def test_batch_of_single_words_runs(self):
+        # no split column at all: the split arrays are (B, 0, ·)
         config = tiny_config()
         params = model.init_params(config, np.random.default_rng(0))
-        results = model.forward_batch(params, config, [[1], [2], [3]], [[0], [1], [2]])
-        for result in results:
-            assert result.distances.shape == (0,)
-            assert result.word_probs.shape == (1, config.word_label_vocab)
-            assert result.split_probs.shape == (0, config.split_label_vocab)
-        assert model.forward_batch(params, config, [], []) == []
+        result = model.forward_batch(params, config, [[1], [2], [3]], [[0], [1], [2]])
+        assert result.distances.shape == (3, 0)
+        assert result.word_probs.shape == (3, 1, config.word_label_vocab)
+        assert result.split_probs.shape == (3, 0, config.split_label_vocab)
+        assert result.lengths.tolist() == [1, 1, 1]
+        np.testing.assert_allclose(result.word_probs.sum(axis=2), 1.0)
+
+    def test_empty_batch_rejected(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty batch"):
+            model.forward_batch(params, config, [], [])
 
     def test_backward_needs_a_one_sentence_result(self):
         config = tiny_config()
@@ -121,7 +140,7 @@ class TestBatch:
         # a two-sentence batch, and a one-sentence batch that kept no
         # activations for the backward pass
         for word_ids, tag_ids in (([[1, 2], [3]], [[0, 1], [2]]), ([[1, 2]], [[0, 1]])):
-            result = model.forward_batch(params, config, word_ids, tag_ids)[0]
+            result = model.forward_batch(params, config, word_ids, tag_ids)
             with pytest.raises(ValueError, match="needs the result of forward"):
                 model.backward(
                     params, config, result, np.zeros(1),

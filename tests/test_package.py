@@ -57,3 +57,32 @@ def test_every_imported_name_is_used():
             if name not in used
         ]
     assert unused == []
+
+
+def test_every_private_module_name_is_used():
+    # a module-level ``_name`` is the module's own helper, so a module
+    # that never reads it holds dead code
+    unused = []
+    for path in sorted((SRC / "distparse").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[name.id] = node
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{node.lineno}: {name}"
+            for name, node in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in used
+        ]
+    assert unused == []

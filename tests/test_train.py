@@ -290,18 +290,26 @@ class TestPrediction:
         empty_index = vocab.split_labels.index(EMPTY_LABEL)
         params["split_head_b2"][empty_index] = 10.0  # force the empty label
         sentences = [(t.words, t.tags) for t in train_tuples if len(t.words) >= 3]
-        scored = predict_scores(params, config, vocab, sentences)
         expected = []
         root_differs = 0
-        for predicted, _, split_probs in scored:
-            assert all(label == EMPTY_LABEL for label in predicted.split_labels)
-            non_empty = np.array(split_probs)
+        for words, tags in sentences:
+            single = model.forward(
+                params, config, [vocab.word_id(w) for w in words],
+                [vocab.tag_id(t) for t in tags],
+            )
+            assert (single.split_probs.argmax(axis=1) == empty_index).all()
+            non_empty = np.array(single.split_probs)
             non_empty[:, empty_index] = -np.inf
             best = [vocab.split_labels[i] for i in non_empty.argmax(axis=1)]
-            root = int(np.argmax(predicted.distances))  # the first maximum
+            root = int(np.argmax(single.distances))  # the first maximum
             expected.append(best[root])
             root_differs += any(label != best[root] for label in best)
         assert root_differs  # the label read at another split would differ
+        # predict_scores repairs the root alone
+        for tup, label in zip(predict_scores(params, config, vocab, sentences), expected):
+            labels = list(tup.split_labels)
+            assert labels.pop(int(np.argmax(tup.distances))) == label
+            assert set(labels) == {EMPTY_LABEL}
         for engine in ENGINES:
             trees = predict_trees(params, config, vocab, sentences, engine)
             for tree, label in zip(trees, expected):
@@ -342,6 +350,11 @@ class TestPrediction:
                 for t in dev_tuples
             ]
             assert batched == single
+
+    def test_no_sentences_give_no_trees(self):
+        train_tuples, _ = small_corpus(30, 0)
+        result = train(train_tuples, [], small_config(epochs=1))
+        assert predict_trees(result.params, result.model_config, result.vocab, []) == []
 
     def test_single_word_prediction(self):
         train_tuples, _ = small_corpus(60, 0)
@@ -387,7 +400,7 @@ class TestBatchLabels:
         vocab = result.vocab
         scored = predict_scores(params, result.model_config, vocab, sentences)
         assert len(scored) == len(sentences)
-        for (words, tags), (tup, _, _) in zip(sentences, scored):
+        for (words, tags), tup in zip(sentences, scored):
             single = model.forward(
                 params,
                 result.model_config,
@@ -397,8 +410,13 @@ class TestBatchLabels:
             assert tup.unary_labels == tuple(
                 vocab.word_labels[i] for i in single.word_probs.argmax(axis=1)
             )
+            split_probs = np.array(single.split_probs)
+            if len(words) > 1:  # an empty root label takes the best other one
+                root = int(np.argmax(tup.distances))
+                if vocab.split_labels[split_probs[root].argmax()] == EMPTY_LABEL:
+                    split_probs[root, split_probs[root].argmax()] = -np.inf
             assert tup.split_labels == tuple(
-                vocab.split_labels[i] for i in single.split_probs.argmax(axis=1)
+                vocab.split_labels[i] for i in split_probs.argmax(axis=1)
             )
         return scored
 
@@ -412,15 +430,15 @@ class TestBatchLabels:
         # random weights, so that the labels vary from position to position
         params = model.init_params(result.model_config, np.random.default_rng(3))
         scored = self.assert_labels_match_forward(params, result, sentences)
-        assert len({label for tup, _, _ in scored for label in tup.split_labels}) > 1
-        assert len({label for tup, _, _ in scored for label in tup.unary_labels}) > 1
+        assert len({label for tup in scored for label in tup.split_labels}) > 1
+        assert len({label for tup in scored for label in tup.unary_labels}) > 1
 
     def test_batch_of_one_word_sentences(self):
         # no split column at all in the padded batch
         result, dev_tuples = self.trained()
         sentences = [(t.words[:1], t.tags[:1]) for t in dev_tuples]
         scored = self.assert_labels_match_forward(result.params, result, sentences)
-        assert all(tup.split_labels == () for tup, _, _ in scored)
+        assert all(tup.split_labels == () for tup in scored)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_only_in_padding(self):
