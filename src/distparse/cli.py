@@ -123,7 +123,7 @@ def cmd_decode(args) -> int:
         try:
             tup = codec.from_json_line(line)
             tree = codec.decode_tree(tup, args.engine)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise CliError("decode", f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
     _write_text(args.out, "".join(lines))

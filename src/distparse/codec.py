@@ -41,8 +41,11 @@ from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
 class DistanceTuple:
     """The per-sentence encoding: words, tags, and word unary labels (one
     per word) plus split scores and split labels (one per split point).
-    Split scores must be finite: no ranking of NaN is meaningful, and the
-    engines would each read one differently."""
+    Building one raises ``ValueError`` for a word or tag that a bracketed
+    tree cannot hold (empty, or with whitespace or a parenthesis) and for
+    a split score that is not finite: no ranking of NaN is meaningful, and
+    the engines would each read one differently. :func:`decode_tree`
+    checks the labels."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
@@ -63,6 +66,15 @@ class DistanceTuple:
             raise ValueError(
                 f"expected {n - 1} distances and split labels for {n} words, "
                 f"got {len(self.distances)}/{len(self.split_labels)}"
+            )
+        # one search of all the words and tags; only a failure reads them again
+        tokens = self.words + self.tags
+        if "" in tokens or BREAKS_TOKEN.search("".join(tokens)) is not None:
+            index = next(i for i, tok in enumerate(tokens) if token_problem(tok))
+            field, item = divmod(index, n)
+            raise ValueError(
+                f"field {('words', 'tags')[field]!r} item {item} "
+                f"{token_problem(tokens[index])}: {tokens[index]!r}"
             )
         if not all(map(math.isfinite, self.distances)):
             index = next(
@@ -386,39 +398,20 @@ def _list_field(record: dict, name: str, allowed: frozenset, kind: str) -> list:
     return values
 
 
-def _token_field(record: dict, name: str) -> list[str]:
-    """``record[name]``, checked to be a list of strings that a bracketed
-    tree can hold as words or tags, in one pass: the join of the items
-    fails on one that is not a string, and one search of it finds any
-    whitespace or parenthesis. A field that fails is read again for the
-    message."""
-    values = record.get(name)
-    try:
-        if type(values) is list and "" not in values:
-            if BREAKS_TOKEN.search("".join(values)) is None:
-                return values
-    except TypeError:  # an item that is not a string
-        pass
-    values = _list_field(record, name, _STRING, "strings")
-    index = next(i for i, value in enumerate(values) if token_problem(value))
-    raise ValueError(
-        f"field {name!r} item {index} {token_problem(values[index])}: "
-        f"{values[index]!r}"
-    )
-
-
 def from_json_line(line: str) -> DistanceTuple:
     """Parse one interchange record; raises ValueError on malformed input:
-    a missing field, a field that is not a list of the right element type
-    (numbers for ``distances``, strings for the rest), a word or tag that
-    a bracketed tree cannot hold (empty, or with whitespace or a
-    parenthesis), or a non-finite distance. Labels are checked where they
-    are read back, by :func:`decode_tree`."""
-    record = json.loads(line)
+    a line that is not JSON or nests too deeply to read, a missing field,
+    a field that is not a list of the right element type (numbers for
+    ``distances``, strings for the rest), or an integer distance too large
+    for a float. :class:`DistanceTuple` checks the words, tags and distances."""
+    try:
+        record = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to read") from None
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
-    words = _token_field(record, "words")
-    tags = _token_field(record, "tags")
+    words = _list_field(record, "words", _STRING, "strings")
+    tags = _list_field(record, "tags", _STRING, "strings")
     unary_labels = _list_field(record, "unary_labels", _STRING, "strings")
     distances = _list_field(record, "distances", _NUMBER, "numbers")
     split_labels = _list_field(record, "split_labels", _STRING, "strings")

@@ -86,10 +86,11 @@ class FlatParams(dict):
     float64 vector, :attr:`flat`, in insertion order.
 
     Update the arrays in place; assigning a new array to a name would detach
-    it from :attr:`flat`.
+    it from :attr:`flat`. A layout too large to allocate raises
+    ``ValueError`` naming its parameter count.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], flat=None):
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         super().__init__()
         layout = []
         offset = 0
@@ -97,7 +98,11 @@ class FlatParams(dict):
             size = math.prod(shape)
             layout.append((name, slice(offset, offset + size), shape))
             offset += size
-        self._fill(tuple(layout), np.zeros(offset) if flat is None else flat)
+        try:
+            flat = np.zeros(offset)
+        except (MemoryError, ValueError):  # numpy's ValueError: past its size limit
+            raise ValueError(f"cannot allocate {offset} parameters") from None
+        self._fill(tuple(layout), flat)
 
     def _fill(self, layout: tuple, flat: np.ndarray) -> None:
         # layout: (name, slice of the flat vector, shape) per array

@@ -474,7 +474,10 @@ def load_checkpoint(path) -> TrainResult:
     ``model.`` and ``vocab.``. Every stored array's shape is checked before
     anything is sized from ``model``, so a huge dimension is a mismatch."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to read") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a recognized checkpoint file")
     for section in ("model", "vocab", "params"):

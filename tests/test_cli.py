@@ -1,12 +1,15 @@
+import csv
 import gc
 import json
+import re
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from distparse import cli, pcfg
+from distparse import bench, cli, codec, pcfg, train as training
 from distparse.cli import main
 from distparse.train import EpochMetrics, TrainConfig
 from distparse.trees import (
@@ -260,6 +263,17 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith("error: decode:") and "line 1" in err
         assert err.count("\n") == 1
+
+    def test_deeply_nested_jsonl_fails_cleanly(self, tmp_path, capsys):
+        jsonl = tmp_path / "deep.jsonl"
+        jsonl.write_text(SAMPLE_JSONL.read_text() + "[" * 1000 + "]" * 1000 + "\n")
+        out = tmp_path / "deep.mrg"
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 1
+        lines = len(SAMPLE_JSONL.read_text().splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"error: decode: {jsonl}: line {lines}: JSON nests too deeply to read\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "split_label, unary_label, message",
@@ -636,6 +650,23 @@ class TestTrainPredictScore:
         assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
         assert not ckpt.exists()
 
+    # only sizes that fail at once: one that does allocate would make the
+    # model write gigabytes of initial weights
+    @pytest.mark.parametrize(
+        "name", ["embed_dim", "hidden_dim", "conv_channels", "ff_hidden"]
+    )
+    def test_model_too_large_to_allocate_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, name
+    ):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"{name} = {10**11}\n")
+        ckpt = tmp_path / "m.json"
+        argv = ["train", "--train", str(mini_treebank), "--config", str(config)]
+        assert main(argv + ["--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: train: cannot allocate \d+ parameters\n", err)
+        assert not ckpt.exists()
+
     def test_config_file_may_set_every_train_config_field(
         self, tmp_path, mini_treebank
     ):
@@ -769,6 +800,18 @@ class TestTrainPredictScore:
         ckpt = tmp_path / "model.json"
         ckpt.write_text(json.dumps(payload))
         self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path, message)
+
+    @pytest.mark.parametrize("section", ["metadata", "params"])
+    def test_deeply_nested_checkpoint_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, section
+    ):
+        payload = json.loads(small_checkpoint.read_text())
+        payload[section]["deep"] = DEEP
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(dumps_edited(payload))
+        self._assert_checkpoint_error(
+            capsys, mini_treebank, ckpt, tmp_path, "JSON nests too deeply to read"
+        )
 
     def test_truncated_embedding_checkpoint_fails_cleanly(
         self, tmp_path, mini_treebank, capsys
@@ -1061,3 +1104,228 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+
+# every kind a failing command may name; `invalid-input` is main's fallback
+# for an error no command caught, so it is not among them
+ERROR_KINDS = (
+    "io", "parse", "encode", "decode", "roundtrip", "config", "train",
+    "checkpoint", "predict", "score", "bench",
+)
+# a value that stands for JSON nested 1000 lists deep, written in after
+# `json.dumps`, which cannot write it
+DEEP = "\x00deep\x00"
+JSON_VALUES = (
+    0, -1, 1.5, 10**9, 10**30, 10**400, float("nan"), float("inf"), float("-inf"),
+    "", "x", "a b", "(", "∅", "S+", None, True, False, [], {}, [1], ["a"], {"a": 1},
+    DEEP,
+)
+# config values; every dimension that parses is tiny or too large to
+# allocate (10**11 and up), never one that trains for long
+CONFIG_VALUES = (
+    "0", "-1", "1", "2", "0.5", "1e-3", "1e30", "nan", "inf", "-inf", "x", "",
+    "true", "[4]", "4 4", "mse", "rmq", "100000000000", "4000000000000", "1" + "0" * 30,
+)
+
+
+def edit_bytes(rng, data: bytes) -> bytes:
+    """``data`` with one to three seeded text edits: a byte dropped, a
+    parenthesis, space, newline or non-UTF-8 byte put in, a cut, two spans
+    swapped, or a line dropped or repeated."""
+    for _ in range(int(rng.choice([1, 1, 1, 2, 3]))):
+        at = int(rng.integers(len(data) + 1))
+        kind = int(rng.integers(7))
+        if kind == 0:
+            data = data[:at] + data[at + 1 :]
+        elif kind == 1:
+            extra = (b"(", b")", b" ", b"\n", b"()", b"( )")[rng.integers(6)]
+            data = data[:at] + extra + data[at:]
+        elif kind == 2:
+            data = data[:at] + (b"\xff", b"\xc3", b"\x00")[rng.integers(3)] + data[at:]
+        elif kind == 3:
+            data = data[:at]
+        elif kind == 4:
+            a, b, c = sorted(int(x) for x in rng.integers(len(data) + 1, size=3))
+            data = data[:a] + data[b:c] + data[a:b] + data[c:]
+        else:
+            lines = data.splitlines(keepends=True) or [b""]
+            at = int(rng.integers(len(lines)))
+            lines[at : at + 1] = [] if kind == 5 else [lines[at]] * 2
+            data = b"".join(lines)
+    return data
+
+
+def edit_json(rng, value):
+    """A copy of ``value`` with one seeded edit somewhere inside it: a value
+    replaced from :data:`JSON_VALUES`, or an entry dropped or added."""
+    if not isinstance(value, (dict, list)) or not value or rng.random() < 0.15:
+        return JSON_VALUES[rng.integers(len(JSON_VALUES))]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    keys = list(copy) if isinstance(copy, dict) else range(len(copy))
+    key = keys[rng.integers(len(keys))]
+    roll = rng.random()
+    if roll < 0.1:
+        del copy[key]
+    elif roll < 0.15:
+        if isinstance(copy, dict):
+            copy["extra"] = 1
+        else:
+            copy.append(copy[key])
+    else:
+        copy[key] = edit_json(rng, copy[key])
+    return copy
+
+
+def dumps_edited(value) -> str:
+    return json.dumps(value, ensure_ascii=False).replace(
+        json.dumps(DEEP), "[" * 1000 + "]" * 1000
+    )
+
+
+def assert_trees_read_back(text: str) -> None:
+    """Each line of ``text`` is one tree that re-parses, and encoding that
+    tree gives a tuple that decodes to it again."""
+    lines = text.splitlines()
+    trees = parse_bracketed(text)
+    assert len(trees) == len(lines)
+    for line, tree in zip(lines, trees):
+        assert serialize_bracketed(tree) == line
+        assert serialize_bracketed(codec.decode_tree(codec.encode_tree(tree))) == line
+
+
+class TestInputContract:
+    """Seeded edits of every command's inputs, run in-process: the sample
+    treebank through `encode`, `roundtrip`, `score`, `predict` and `train`;
+    the sample JSONL through `decode`; a trained checkpoint through
+    `predict`; `--config` files through `train`; and `bench`'s flags. Each
+    run exits 0 with output that reads back, or exits 1 with one
+    ``error: <kind>:`` line and no output file."""
+
+    def run(self, capsys, argv, out, label):
+        """``main(argv)``'s exit code, checked against the contract; ``out``
+        is the output path, which a failing run must not leave."""
+        for stale in (out, Path(f"{out}.run.json")):
+            stale.unlink(missing_ok=True)
+        code = main(argv)
+        err = capsys.readouterr().err
+        where = f"{argv[0]} on {label}"
+        assert code in (0, 1), where
+        assert "Traceback" not in err, where
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith("error: "), (where, err)
+            kind = err[len("error: ") :].split(":", 1)[0]
+            assert kind in ERROR_KINDS, (where, err)
+            assert not out.exists(), where
+        return code
+
+    def test_seeded_edits_keep_every_command_to_its_contract(
+        self, tmp_path, capsys, small_checkpoint
+    ):
+        rng = np.random.default_rng(1717)
+        out = tmp_path / "out"
+        edited = tmp_path / "edited"
+        small = tmp_path / "small.cfg"
+        small.write_text(SMALL_MODEL)
+        exits = {}
+
+        def count(source, code):
+            exits.setdefault(source, [0, 0])[code] += 1
+
+        treebank = SAMPLE.read_bytes()
+        for case in range(100):
+            text = edit_bytes(rng, treebank)
+            edited.write_bytes(text)
+            label = f"treebank edit {case}: {text!r}"
+            to_out = ["--out", str(out)]
+            commands = [
+                ["encode", str(edited), *to_out],
+                ["roundtrip", str(edited)],  # exits 1 on a mismatch, with no error line
+                ["score", str(SAMPLE if case % 2 else edited), str(edited), "--json",
+                 *to_out],
+                ["predict", str(edited), "--model", str(small_checkpoint), *to_out],
+            ]
+            if case % 10 == 0:
+                commands.append(
+                    ["train", "--train", str(edited), "--dev", str(edited),
+                     "--config", str(small), "--epochs", "1", *to_out]
+                )
+            for argv in commands:
+                code = self.run(capsys, argv, out, label)
+                count(f"treebank {argv[0]}", code)
+                if code == 0 and argv[0] in ("encode", "predict"):
+                    written = out.read_text()
+                    sidecar = json.loads(Path(f"{out}.run.json").read_text())
+                    assert written.count("\n") == sidecar["trees"], label
+                    if argv[0] == "encode":
+                        written = "".join(
+                            serialize_bracketed(codec.decode_tree(tup)) + "\n"
+                            for tup in map(codec.from_json_line, written.splitlines())
+                        )
+                    assert_trees_read_back(written)
+                elif code == 0 and argv[0] == "score":
+                    json.loads(out.read_text())
+                elif code == 0 and argv[0] == "train":
+                    training.load_checkpoint(out)
+
+        jsonl = SAMPLE_JSONL.read_bytes()
+        records = [json.loads(line) for line in jsonl.decode().splitlines()]
+        for case in range(200):
+            if case % 2:
+                text = edit_bytes(rng, jsonl)
+            else:
+                at = int(rng.integers(len(records)))
+                lines = [json.dumps(r, ensure_ascii=False) for r in records]
+                lines[at] = dumps_edited(edit_json(rng, records[at]))
+                text = "".join(line + "\n" for line in lines).encode()
+            edited.write_bytes(text)
+            engine = codec.ENGINES[case % len(codec.ENGINES)]
+            argv = ["decode", str(edited), "--engine", engine, "--out", str(out)]
+            code = self.run(capsys, argv, out, f"JSONL edit {case}: {text!r}")
+            count("jsonl decode", code)
+            if code == 0:
+                records_read = [l for l in text.decode().splitlines() if l.strip()]
+                assert out.read_text().count("\n") == len(records_read)
+                assert_trees_read_back(out.read_text())
+
+        checkpoint = json.loads(small_checkpoint.read_text())
+        for case in range(100):
+            text = dumps_edited(edit_json(rng, checkpoint))
+            edited.write_text(text)
+            argv = ["predict", str(SAMPLE), "--model", str(edited), "--out", str(out)]
+            code = self.run(capsys, argv, out, f"checkpoint edit {case}")
+            count("checkpoint predict", code)
+            if code == 0:
+                assert_trees_read_back(out.read_text())
+
+        keys = [field.name for field in fields(TrainConfig)] + ["unknown", "= 4"]
+        for case in range(30):
+            key = keys[rng.integers(len(keys))]
+            value = CONFIG_VALUES[rng.integers(len(CONFIG_VALUES))]
+            config = SMALL_MODEL + (f"{key} = {value}\n" if case % 5 else f"{key}\n")
+            edited.write_text(config)
+            argv = ["train", "--train", str(SAMPLE), "--config", str(edited),
+                    "--epochs", "1", "--out", str(out)]
+            code = self.run(capsys, argv, out, f"config {config!r}")
+            count("config train", code)
+            if code == 0:
+                training.load_checkpoint(out)
+
+        bench_values = {
+            "--sizes": ("2", "0", "-4", "x", "", ",", "1e3", "2,,4", " 8 "),
+            "--engines": ("scan", "", "warp", " stack ", ",", "rmq,rmq"),
+            "--reps": ("1", "0", "-1"),
+        }
+        for case in range(12):
+            flags = {"--sizes": "8,16", "--engines": "scan,rmq,stack", "--reps": "2"}
+            flag = list(bench_values)[case % 3]
+            flags[flag] = bench_values[flag][rng.integers(len(bench_values[flag]))]
+            argv = ["bench", *(part for pair in flags.items() for part in pair),
+                    "--shape", bench.SHAPES[case % len(bench.SHAPES)], "--out", str(out)]
+            code = self.run(capsys, argv, out, " ".join(argv[1:-2]))
+            count("bench", code)
+            if code == 0:
+                rows = list(csv.reader(out.read_text().splitlines()))
+                assert [r for r in rows if r and not r[0].startswith("#")], argv
+
+        # the edits reach both outcomes of every command
+        assert all(ok and failed for ok, failed in exits.values()), sorted(exits.items())

@@ -426,6 +426,13 @@ class TestJsonl:
         with pytest.raises(ValueError, match=re.escape(message)):
             from_json_line(json.dumps(record))
 
+    def test_lengths_are_checked_before_tokens(self):
+        record = json.loads(to_json_line(encode(right_branching_three())))
+        record["words"][0] = "a b"
+        record["tags"].append("T")
+        with pytest.raises(ValueError, match="lengths differ"):
+            from_json_line(json.dumps(record))
+
     def test_integer_distances_accepted(self):
         record = json.loads(to_json_line(encode(right_branching_three())))
         record["distances"] = [2, 1]
@@ -449,3 +456,16 @@ class TestDistanceTupleValidation:
     def test_non_finite_distance_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             DistanceTuple(("a", "b", "c"), ("T",) * 3, ("X",) * 3, (1.0, bad), ("S",) * 2)
+
+    @pytest.mark.parametrize(
+        "words, tags, message",
+        [
+            (("a", ""), ("T", "T"), "field 'words' item 1 is empty: ''"),
+            (("a", "b"), ("T", "X Y"), "field 'tags' item 1 holds whitespace: 'X Y'"),
+            (("(a", "b"), ("T", "T"), "field 'words' item 0 holds a parenthesis: '(a'"),
+        ],
+        ids=["empty-word", "tag-with-space", "word-with-parenthesis"],
+    )
+    def test_token_a_bracketed_tree_cannot_hold_rejected(self, words, tags, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DistanceTuple(words, tags, ("X", "X"), (1.0,), ("S",))
