@@ -92,7 +92,7 @@ def run(
                 if engine == "stack":
                     continue
                 if not codec.binary_trees_equal(reference, codec.decode(tup, engine)):
-                    raise AssertionError(
+                    raise ValueError(
                         f"engine {engine} disagrees with stack at size {size}"
                     )
     pairs = [(size, engine) for size in sizes for engine in engines]

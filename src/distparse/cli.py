@@ -7,7 +7,9 @@ it (checkpoints, metrics logs, CSV comments) and written to a ``.run.json``
 sidecar next to line-oriented outputs, which stay format-clean.
 
 Exit codes: 0 on success, 1 on failure with a one-line
-``error: <kind>: <message>`` on stderr.
+``error: <kind>: <message>`` on stderr, the kind naming the failing command
+or the layer that failed: ``io``, ``parse`` (a treebank file), ``config``,
+``checkpoint`` or ``usage`` (arguments the parser rejects).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -27,11 +30,11 @@ from .trees import Tree, TreebankError, leaves, read_treebank, serialize_bracket
 
 
 class CliError(Exception):
-    """Failure with a user-facing one-line message."""
+    """Failure of a layer other than the command itself, named by ``kind``;
+    :func:`main` names a command's own ``ValueError`` after the command."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
-        self.kind = kind
 
 
 def _read_text(path: str) -> str:
@@ -82,12 +85,12 @@ def _write_counted_sidecar(args, command: str, trees: int, skipped: int) -> None
         print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
 
 
-def _load_sentences(path: str, kind: str, then=None) -> tuple[list, int]:
+def _load_sentences(path: str, then=None) -> tuple[list, int]:
     """treebank file -> (each tree read, preprocessed by
     :func:`~distparse.trees.read_treebank`, or ``then`` of it; count of
     trees preprocessing emptied, which are dropped). A label ``then``
-    rejects fails as ``error: <kind>: <path>: tree N: …``, counting every
-    tree read from 1."""
+    rejects fails as ``<path>: tree N: …``, counting every tree read
+    from 1."""
     try:
         trees = read_treebank(_read_text(path))
     except TreebankError as exc:
@@ -98,7 +101,7 @@ def _load_sentences(path: str, kind: str, then=None) -> tuple[list, int]:
             try:
                 kept.append(tree if then is None else then(tree))
             except LabelError as exc:
-                raise CliError(kind, f"{path}: tree {number}: {exc}")
+                raise ValueError(f"{path}: tree {number}: {exc}")
     return kept, len(trees) - len(kept)
 
 
@@ -108,7 +111,7 @@ def _words_and_tags(tree: Tree) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def cmd_encode(args) -> int:
-    tuples, skipped = _load_sentences(args.input, "encode", encode_tree)
+    tuples, skipped = _load_sentences(args.input, encode_tree)
     lines = "".join(codec.to_json_line(tup) + "\n" for tup in tuples)
     _write_text(args.out, lines)
     _write_counted_sidecar(args, "encode", len(tuples), skipped)
@@ -124,7 +127,7 @@ def cmd_decode(args) -> int:
             tup = codec.from_json_line(line)
             tree = codec.decode_tree(tup, args.engine)
         except ValueError as exc:
-            raise CliError("decode", f"{args.input}: line {number}: {exc}")
+            raise ValueError(f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
     _write_text(args.out, "".join(lines))
     _write_sidecar(args.out, _run_metadata(args, "decode"))
@@ -132,9 +135,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    pairs, _ = _load_sentences(
-        args.input, "roundtrip", lambda tree: (tree, encode_tree(tree))
-    )
+    pairs, _ = _load_sentences(args.input, lambda tree: (tree, encode_tree(tree)))
     mismatches = []
     for index, (tree, tup) in enumerate(pairs):
         reference = serialize_bracketed(tree)
@@ -189,32 +190,35 @@ def _train_config(args) -> training.TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    train_tuples, skipped_train = _load_sentences(args.train, "train", encode_tree)
+    train_tuples, skipped_train = _load_sentences(args.train, encode_tree)
     dev_tuples, skipped_dev = (
-        _load_sentences(args.dev, "train", encode_tree) if args.dev else ([], 0)
+        _load_sentences(args.dev, encode_tree) if args.dev else ([], 0)
     )
     if not train_tuples:
-        raise CliError("train", f"no usable trees in {args.train}")
+        raise ValueError(f"no usable trees in {args.train}")
     if args.dev and not dev_tuples:
-        raise CliError("train", f"no usable trees in {args.dev}")
+        raise ValueError(f"no usable trees in {args.dev}")
 
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
-    try:  # overflow ends in NonFiniteError; numpy's warnings would repeat it
-        with np.errstate(all="ignore"):
-            result = training.train(train_tuples, dev_tuples, config, log=log)
-    except ValueError as exc:  # NonFiniteError, or a dev tree it cannot label
-        raise CliError("train", str(exc))
+    result = training.train(train_tuples, dev_tuples, config, log=log)
     metadata = _run_metadata(args, "train")
     metadata["train_config"] = asdict(config)
     metadata["skipped_empty"] = {"train": skipped_train, "dev": skipped_dev}
     metadata["best_epoch"] = result.best_epoch
-    training.save_checkpoint(args.out, result, metadata=metadata)
+    try:
+        training.save_checkpoint(args.out, result, metadata=metadata)
+    except OSError as exc:
+        raise CliError("io", f"cannot write {args.out}: {exc.strerror}")
     if args.metrics:
         metrics_lines = [json.dumps({"run": metadata})]
         metrics_lines += [json.dumps(asdict(epoch)) for epoch in result.history]
-        _write_text(args.metrics, "".join(line + "\n" for line in metrics_lines))
+        try:
+            _write_text(args.metrics, "".join(line + "\n" for line in metrics_lines))
+        except CliError:
+            os.remove(args.out)  # a failed run leaves no checkpoint behind
+            raise
     best = result.history[result.best_epoch - 1] if result.history else None
     if best is not None:
         print(
@@ -229,18 +233,10 @@ def cmd_predict(args) -> int:
         result = training.load_checkpoint(args.model)
     except (OSError, ValueError) as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
-    sentences, skipped = _load_sentences(args.input, "predict", _words_and_tags)
-    try:
-        with np.errstate(all="ignore"):
-            predicted = training.predict_trees(
-                result.params,
-                result.model_config,
-                result.vocab,
-                sentences,
-                engine=args.engine,
-            )
-    except ValueError as exc:  # NonFiniteError, or a root it cannot label
-        raise CliError("predict", str(exc))
+    sentences, skipped = _load_sentences(args.input, _words_and_tags)
+    predicted = training.predict_trees(
+        result.params, result.model_config, result.vocab, sentences, engine=args.engine
+    )
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))
     _write_counted_sidecar(args, "predict", len(sentences), skipped)
@@ -248,12 +244,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold_trees, _ = _load_sentences(args.gold, "score")
-    pred_trees, _ = _load_sentences(args.pred, "score")
-    try:
-        report = scoring.score(gold_trees, pred_trees)
-    except ValueError as exc:
-        raise CliError("score", str(exc))
+    gold_trees, _ = _load_sentences(args.gold)
+    pred_trees, _ = _load_sentences(args.pred)
+    report = scoring.score(gold_trees, pred_trees)
     if args.json:
         _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     else:
@@ -262,28 +255,21 @@ def cmd_score(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    except ValueError as exc:
-        raise CliError("bench", str(exc))
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    if not sizes:
+        raise ValueError("--sizes names no size")
+    if not engines:
+        raise ValueError("--engines names no engine")
     for engine in engines:
         if engine not in codec.ENGINES:
-            raise CliError("bench", f"unknown engine {engine!r}")
+            raise ValueError(f"unknown engine {engine!r}")
     if args.reps < 1:
-        raise CliError("bench", "--reps must be at least 1")
+        raise ValueError("--reps must be at least 1")
     seed = args.seed if args.seed is not None else 0
-    try:
-        rows = bench.run(
-            sizes,
-            engines,
-            args.shape,
-            repetitions=args.reps,
-            seed=seed,
-            interleave=True,
-        )
-    except (ValueError, AssertionError) as exc:
-        raise CliError("bench", str(exc))
+    rows = bench.run(
+        sizes, engines, args.shape, repetitions=args.reps, seed=seed, interleave=True
+    )
     metadata = _run_metadata(args, "bench")
     metadata["seed"] = seed
     _write_text(args.out, bench.to_csv(rows, metadata=metadata))
@@ -295,8 +281,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejected arguments end in one ``error: usage:`` line and exit 1, like
+    every other failure; the subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise CliError("usage", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distparse",
         description="Constituency parsing via per-split scores.",
     )
@@ -360,19 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     gc_was_enabled = gc.isenabled()
     # distparse builds no reference cycles, so rescanning its many tree
     # objects only costs time; reference counting still frees them
     gc.disable()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # overflow ends in NonFiniteError; numpy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TreebankError, ValueError) as exc:
-        print(f"error: invalid-input: {exc}", file=sys.stderr)
+    except ValueError as exc:  # the command's own failure, named after it
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
     finally:
         if gc_was_enabled:

@@ -529,6 +529,31 @@ class TestTrainPredictScore:
         assert capsys.readouterr().err == f"error: train: no usable trees in {bad}\n"
         assert not ckpt.exists() and not metrics.exists()
 
+    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    def test_checkpoint_that_cannot_be_written_is_one_io_line(
+        self, tmp_path, capsys, where
+    ):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        out = tmp_path / "missing" / "m.json" if where == "missing folder" else tmp_path
+        reason = "No such file or directory" if where == "missing folder" else "Is a directory"
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
+        assert main(argv + ["--epochs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"error: io: cannot write {out}: {reason}"
+
+    def test_metrics_that_cannot_be_written_leave_no_checkpoint(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        ckpt, metrics = tmp_path / "m.json", tmp_path / "missing" / "metrics.jsonl"
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config), "--epochs", "1"]
+        assert main(argv + ["--out", str(ckpt), "--metrics", str(metrics)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"error: io: cannot write {metrics}: No such file or directory"
+        assert not ckpt.exists()
+
     def test_same_seed_gives_identical_metrics(self, tmp_path, mini_treebank):
         ckpt = tmp_path / "model.json"
         metrics = tmp_path / "metrics.jsonl"
@@ -1038,6 +1063,37 @@ class TestBench:
         assert main(["bench", "--engines", "warp", "--sizes", "10"]) == 1
         assert "unknown engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--engines", "", "--engines names no engine"),
+            ("--engines", ",", "--engines names no engine"),
+            ("--sizes", ",", "--sizes names no size"),
+        ],
+    )
+    def test_empty_list_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "8", "--reps", "1", flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: bench: {message}\n"
+        assert not out.exists()
+
+    def test_engines_that_disagree_fail_as_a_bench_error(self, monkeypatch, capsys):
+        decode = codec.decode
+
+        def rmq_reads_the_scores_reversed(tup, engine):
+            if engine == "rmq":
+                tup = replace(tup, distances=tup.distances[::-1])
+            return decode(tup, engine)
+
+        monkeypatch.setattr(codec, "decode", rmq_reads_the_scores_reversed)
+        with pytest.raises(ValueError, match="engine rmq disagrees with stack at size 8"):
+            bench.run([8], ["stack", "rmq"], "left-chain", repetitions=1)
+        assert main(["bench", "--sizes", "8", "--engines", "stack,rmq", "--reps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bench: engine rmq disagrees with stack at size 8\n"
+        )
+
     def test_too_small_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "1"]) == 1
 
@@ -1095,22 +1151,66 @@ class TestCollector:
 
 
 class TestArgumentErrors:
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit) as info:
-            main(["encode", "x.mrg", "--frobnicate"])
-        assert info.value.code == 2
+    """Arguments the parser rejects end like every other failure: exit 1,
+    one ``error: usage:`` line, no output file."""
+
+    def test_unknown_flag_rejected(self, capsys):
+        assert main(["encode", "x.mrg", "--frobnicate"]) == 1
+        assert capsys.readouterr().err == (
+            "error: usage: unrecognized arguments: --frobnicate\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "in.mrg", "--frobnicate"],
+            ["decode", "in.jsonl", "--frobnicate"],
+            ["roundtrip", "in.mrg", "--out", "x"],
+            ["train", "--train", "in.mrg", "--frobnicate"],
+            ["predict", "in.mrg", "--model", "m.json", "--frobnicate"],
+            ["score", "gold.mrg", "pred.mrg", "--frobnicate"],
+            ["bench", "--frobnicate"],
+            ["bench", "--reps", "x"],
+            ["train", "--train", "in.mrg", "--epochs", "1.5"],
+            ["decode", "in.jsonl", "--engine", "warp"],
+            ["train", "--train", "in.mrg", "--loss", "l1"],
+            ["bench", "--shape", "square"],
+            ["encode"],
+            ["score", "gold.mrg"],
+            ["train"],
+            ["predict", "in.mrg"],
+            [],
+            ["frobnicate"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_arguments_are_one_usage_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv and argv[0] in ("encode", "decode", "train", "predict", "score", "bench"):
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: usage: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
 
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]], ids=" ".join)
+    def test_help_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: distparse")
 
-# every kind a failing command may name; `invalid-input` is main's fallback
-# for an error no command caught, so it is not among them
+
+# every kind a failing command may name: its own name, or another layer's
 ERROR_KINDS = (
     "io", "parse", "encode", "decode", "roundtrip", "config", "train",
-    "checkpoint", "predict", "score", "bench",
+    "checkpoint", "predict", "score", "bench", "usage",
 )
 # a value that stands for JSON nested 1000 lists deep, written in after
 # `json.dumps`, which cannot write it
