@@ -32,12 +32,15 @@ leading axis, and each step computes the whole 4h gate vector with one
 tanh, using sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The conv and the three
 heads run on the whole batch, and the batch comes back as one
 :class:`ForwardResult` of padded arrays with the sentence lengths, which
-the caller reads row by row up to each length. :func:`forward` and
-:func:`sentence_loss` are the one-sentence batch, viewed without its batch
-axis, which also keeps every step's activated gates and tanh(c) for
-:func:`backward` to read; other batches keep only one step's scratch.
-Prediction (``train.predict_scores``) runs length-sorted batches of 32 so
-that little padding is computed.
+the caller reads row by row up to each length. A batch run with
+``keep_activations`` also keeps every step's activated gates and tanh(c),
+and :func:`backward` takes any such batch; other batches keep only one
+step's scratch. :func:`batch_loss` is one training step's forward, losses
+and backward over a batch, with each sentence's losses computed on its
+own row; :func:`sentence_loss` is its one-sentence case, and
+:func:`forward` the one-sentence batch viewed without its batch axis.
+Training and prediction both run length-sorted batches
+(``train.length_batches``), so that little padding is computed.
 """
 
 from __future__ import annotations
@@ -464,26 +467,35 @@ def backward(
     d_split_probs: np.ndarray,
 ) -> FlatParams:
     """Gradients of a scalar loss given its gradients at the three outputs
-    of :func:`forward`, in a fresh buffer with the layout of ``params``.
+    of a batch that :func:`forward_batch` ran with ``keep_activations``
+    (or :func:`forward` ran), in a fresh buffer with the layout of
+    ``params``.
 
-    Probability gradients are chained through the softmax here.
+    The output gradients have the shapes of the result's outputs, padded
+    (B, S), (B, T, ·) and (B, S, ·) or, for :func:`forward`, without the
+    batch axis; they must be 0 at padded positions. Probability gradients
+    are chained through the softmax here.
     """
     cache = result.cache
+    if cache["word_cache"] is None:
+        raise ValueError("backward needs a result kept with keep_activations")
     batch, steps = cache["words"].shape
-    if batch != 1 or cache["word_cache"] is None:
-        raise ValueError("backward needs the result of forward (one sentence)")
     grads = params.empty_like()
     hidden2 = 2 * config.hidden_dim
+    # explicit widths: a batch of 1-word sentences has no split column
     splits = steps - 1
+    split_rows, word_rows = batch * splits, batch * steps
 
     d_split_logits = _softmax_backward(
-        np.asarray(d_split_probs, dtype=np.float64),
-        result.split_probs.reshape(splits, config.split_label_vocab),
+        np.asarray(d_split_probs, dtype=np.float64).reshape(
+            split_rows, config.split_label_vocab
+        ),
+        result.split_probs.reshape(split_rows, config.split_label_vocab),
     )
     d_h_split = _ff_backward(
         d_split_logits, cache["split_head_cache"], params, "split_head", grads
     )
-    d_dist_out = np.asarray(d_distances, dtype=np.float64).reshape(-1, 1)
+    d_dist_out = np.asarray(d_distances, dtype=np.float64).reshape(split_rows, 1)
     d_h_split += _ff_backward(
         d_dist_out, cache["dist_head_cache"], params, "dist_head", grads
     )
@@ -492,7 +504,7 @@ def backward(
         cache["split_cache"],
         "lstm_split",
         grads,
-    ).reshape(batch * splits, config.conv_channels)
+    ).reshape(split_rows, config.conv_channels)
     g_split = cache["g_split"]
     d_conv_pre = d_g_split * (1.0 - g_split * g_split)
     pairs = cache["pairs"]
@@ -504,8 +516,10 @@ def backward(
     d_h_word[:, :-1] += d_pairs[..., :hidden2]
     d_h_word[:, 1:] += d_pairs[..., hidden2:]
     d_word_logits = _softmax_backward(
-        np.asarray(d_word_probs, dtype=np.float64),
-        result.word_probs.reshape(steps, config.word_label_vocab),
+        np.asarray(d_word_probs, dtype=np.float64).reshape(
+            word_rows, config.word_label_vocab
+        ),
+        result.word_probs.reshape(word_rows, config.word_label_vocab),
     )
     d_h_word += _ff_backward(
         d_word_logits, cache["word_head_cache"], params, "word_head", grads
@@ -518,11 +532,58 @@ def backward(
         ("embed_tag", cache["tags"], d_x[..., e:]),
     ):
         grads[name].fill(0.0)
-        np.add.at(grads[name], ids.ravel(), d_embed.reshape(-1, e))
+        np.add.at(grads[name], ids.ravel(), d_embed.reshape(word_rows, e))
     return grads
 
 
 LOSS_KINDS = ("rank", "mse")
+
+
+def batch_loss(
+    params: FlatParams,
+    config: ModelConfig,
+    examples: Sequence[tuple],
+    distance_loss: str = "rank",
+) -> tuple[dict[str, float], FlatParams]:
+    """Summed loss (distance + label terms) of a non-empty batch and its
+    parameter gradients, from one forward and one backward pass.
+
+    Each example is ``(word_ids, tag_ids, gold_distances, gold_word_labels,
+    gold_split_labels)``. Each sentence's losses are the per-sentence
+    :mod:`~distparse.losses` functions on its row up to its length, and
+    their gradients fill zero-padded arrays for :func:`backward`.
+    """
+    if distance_loss not in LOSS_KINDS:
+        raise ValueError(f"unknown distance loss {distance_loss!r}")
+    result = forward_batch(
+        params,
+        config,
+        [example[0] for example in examples],
+        [example[1] for example in examples],
+        keep_activations=True,
+    )
+    loss_fn = losses.rank_loss if distance_loss == "rank" else losses.mse_loss
+    d_distances = np.zeros_like(result.distances)
+    d_word_probs = np.zeros_like(result.word_probs)
+    d_split_probs = np.zeros_like(result.split_probs)
+    sum_distance = sum_label = total = 0.0
+    for row, (_, _, gold_d, gold_w, gold_s) in enumerate(examples):
+        n = int(result.lengths[row])
+        dist_value, d_distances[row, : n - 1] = loss_fn(
+            gold_d, result.distances[row, : n - 1]
+        )
+        word_value, d_word_probs[row, :n] = losses.label_loss(
+            gold_w, result.word_probs[row, :n]
+        )
+        split_value, d_split_probs[row, : n - 1] = losses.label_loss(
+            gold_s, result.split_probs[row, : n - 1]
+        )
+        sum_distance += dist_value
+        sum_label += word_value + split_value
+        total += dist_value + word_value + split_value
+    grads = backward(params, config, result, d_distances, d_word_probs, d_split_probs)
+    parts = {"distance": sum_distance, "label": sum_label, "total": total}
+    return parts, grads
 
 
 def sentence_loss(
@@ -536,22 +597,6 @@ def sentence_loss(
     distance_loss: str = "rank",
 ) -> tuple[dict[str, float], FlatParams]:
     """Total loss (distance + label terms) and its parameter gradients for
-    one sentence."""
-    if distance_loss not in LOSS_KINDS:
-        raise ValueError(f"unknown distance loss {distance_loss!r}")
-    result = forward(params, config, word_ids, tag_ids)
-    loss_fn = losses.rank_loss if distance_loss == "rank" else losses.mse_loss
-    dist_value, d_distances = loss_fn(gold_distances, result.distances)
-    word_value, d_word_probs = losses.label_loss(gold_word_labels, result.word_probs)
-    split_value, d_split_probs = losses.label_loss(
-        gold_split_labels, result.split_probs
-    )
-    grads = backward(
-        params, config, result, d_distances, d_word_probs, d_split_probs
-    )
-    parts = {
-        "distance": dist_value,
-        "label": word_value + split_value,
-        "total": dist_value + word_value + split_value,
-    }
-    return parts, grads
+    one sentence: the one-sentence :func:`batch_loss`."""
+    example = (word_ids, tag_ids, gold_distances, gold_word_labels, gold_split_labels)
+    return batch_loss(params, config, [example], distance_loss)

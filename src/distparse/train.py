@@ -98,12 +98,20 @@ _FLOAT_RULES = {
 class TrainConfig:
     """Training settings, and the one place their desk-scale defaults are
     written; the fields are the keys of a ``--config`` file. Rejects, with
-    ``ValueError``, fewer than one epoch, a negative seed, a model dimension
-    that ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
-    rule or is not finite, and an unknown loss or decode engine."""
+    ``ValueError``, fewer than one epoch, a negative seed, a ``batch_size``
+    that is not an integer of at least 1, a model dimension that
+    ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
+    rule or is not finite, and an unknown loss or decode engine.
+
+    Training steps once per batch of up to ``batch_size`` sentences (see
+    :func:`train`). ``learning_rate`` is per sentence: a step over a batch
+    of k sentences moves by ``learning_rate * k``, the linear scaling rule
+    (Goyal et al., arXiv:1706.02677), so ``batch_size = 1`` is plain
+    per-sentence Adam."""
 
     epochs: int = 20
     seed: int = 0
+    batch_size: int = 4
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -121,6 +129,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if type(self.batch_size) is not int or self.batch_size < 1:  # not bool
+            raise ValueError(
+                f"batch_size must be an integer of at least 1, got {self.batch_size!r}"
+            )
         dims = (self.embed_dim, self.hidden_dim, self.conv_channels, self.ff_hidden)
         model.ModelConfig(1, 1, 1, 1, *dims)
         for name, (holds, rule) in _FLOAT_RULES.items():
@@ -149,7 +161,8 @@ class Adam:
     the gradient and two moment vectors, through two scratch vectors; per
     element it computes, in this order, ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr * (m/c1 / (sqrt(v/c2) + eps) + wd*p)``.
+    ``p -= lr*k * (m/c1 / (sqrt(v/c2) + eps) + wd*p)``, ``k`` the number of
+    sentences that ``g`` sums over (1 by default).
     """
 
     def __init__(
@@ -171,8 +184,9 @@ class Adam:
         self.second_moment = np.zeros_like(params)
         self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Update ``params`` in place from ``grads`` (same shape)."""
+    def step(self, params: np.ndarray, grads: np.ndarray, sentences: int = 1) -> None:
+        """Update ``params`` in place from ``grads`` (same shape), the
+        gradient summed over ``sentences`` sentences."""
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
@@ -192,7 +206,7 @@ class Adam:
         s /= t
         np.multiply(params, self.weight_decay, out=t)
         s += t
-        s *= self.learning_rate
+        s *= self.learning_rate * sentences
         params -= s
 
 
@@ -234,7 +248,13 @@ def train(
     """Train on encoded sentences; keep the epoch with the best dev labeled
     F1. Deterministic given the corpus and ``config.seed``.
 
-    Raises :class:`NonFiniteError` as soon as a sentence's loss, or the
+    Each epoch draws one permutation of the corpus and cuts it into
+    batches of sentences of similar length with :func:`length_batches`;
+    each batch is one :func:`~distparse.model.batch_loss` (its summed loss)
+    and one Adam step. With ``batch_size = 1`` the batches are the
+    permutation itself, one sentence each.
+
+    Raises :class:`NonFiniteError` as soon as a batch's loss, or the
     parameters at the end of an epoch, are NaN or infinite, rather than
     carry on with broken weights.
     """
@@ -262,6 +282,7 @@ def train(
         weight_decay=config.weight_decay,
     )
     examples = [_encode_example(tup, vocab) for tup in train_tuples]
+    lengths = [len(tup.words) for tup in train_tuples]
     gold_dev_trees = [decode_tree(tup, config.decode_engine) for tup in dev_tuples]
     dev_sentences = [(tup.words, tup.tags) for tup in dev_tuples]
 
@@ -269,24 +290,19 @@ def train(
     best_f1 = -1.0
     best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(examples)).tolist()
         sum_dist = 0.0
         sum_label = 0.0
-        for index in order:
-            word_ids, tag_ids, gold_d, gold_w, gold_s = examples[index]
-            parts, grads = model.sentence_loss(
+        for batch in length_batches(order, lengths, config.batch_size):
+            parts, grads = model.batch_loss(
                 params,
                 model_config,
-                word_ids,
-                tag_ids,
-                gold_d,
-                gold_w,
-                gold_s,
+                [examples[index] for index in batch],
                 config.distance_loss,
             )
             if not math.isfinite(parts["total"]):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}")
-            optimizer.step(params.flat, grads.flat)
+            optimizer.step(params.flat, grads.flat, len(batch))
             sum_dist += parts["distance"]
             sum_label += parts["label"]
         # the epoch's last step can break the weights with no loss to show it
@@ -323,10 +339,26 @@ def train(
     return result
 
 
-# predict and dev evaluation run the model over length-sorted batches of
-# this many sentences; sorting keeps the padding, and so the wasted steps,
-# small
+# predict and dev evaluation run the model over batches of this many
+# sentences, cut by length_batches as training's are
 PREDICT_BATCH = 32
+
+
+def length_batches(
+    order: Sequence[int], lengths: Sequence[int], size: int
+) -> list[list[int]]:
+    """Cut ``order``, indices into ``lengths``, into batches of ``size``
+    indices of similar length, so that padding, and so wasted work, stays
+    small: ``order`` stable-sorted by length, cut into runs of ``size`` (the
+    last may be shorter), the runs in the order of each one's earliest
+    member in ``order``. At ``size = 1`` that is ``order`` itself."""
+    position = {index: place for place, index in enumerate(order)}
+    by_length = sorted(order, key=lengths.__getitem__)
+    batches = [
+        by_length[start : start + size] for start in range(0, len(by_length), size)
+    ]
+    batches.sort(key=lambda batch: min(map(position.__getitem__, batch)))
+    return batches
 
 
 def predict_scores(
@@ -409,12 +441,11 @@ def predict_trees(
     engine: str = "stack",
 ) -> list[Tree]:
     """Parse ``(words, tags)`` pairs: :func:`predict_scores` in
-    length-sorted batches of :data:`PREDICT_BATCH`, each tuple decoded to
+    :func:`length_batches` of :data:`PREDICT_BATCH`, each tuple decoded to
     an n-ary tree, in input order."""
-    order = sorted(range(len(sentences)), key=lambda index: len(sentences[index][0]))
+    lengths = [len(words) for words, _ in sentences]
     parsed: list = [None] * len(sentences)
-    for start in range(0, len(order), PREDICT_BATCH):
-        chunk = order[start : start + PREDICT_BATCH]
+    for chunk in length_batches(range(len(sentences)), lengths, PREDICT_BATCH):
         scored = predict_scores(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )

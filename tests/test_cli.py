@@ -34,8 +34,12 @@ GOLDEN = {
 # is dropped by preprocessing but still counts as a tree read
 BAD_LABEL_TREEBANK = "(S (NN a))\n(S (NP (-NONE- *)))\n(S+ (NN b) (NN c))\n"
 BAD_LABEL_MESSAGE = "tree 3: label 'S+' contains the chain separator '+'"
-# a model small enough to train on anything in a test
-SMALL_MODEL = "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
+# a model small enough to train on anything in a test; one sentence per
+# step, so the committed predict outputs pin the batch_size = 1 trajectory
+SMALL_MODEL = (
+    "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
+    "batch_size = 1\n"
+)
 
 
 @pytest.fixture
@@ -459,6 +463,24 @@ class TestTrainPredictScore:
         assert main(argv) == 0
         assert report.read_bytes() == GOLDEN["predict.score.json"].read_bytes()
 
+    def test_model_trained_in_default_batches_parses_every_sentence(self, tmp_path):
+        config, ckpt, pred = tmp_path / "small.cfg", tmp_path / "m.json", tmp_path / "p"
+        config.write_text(SMALL_MODEL.replace("batch_size = 1", "# default batch_size"))
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
+        assert main(argv + ["--epochs", "2", "--out", str(ckpt)]) == 0
+        recorded = json.loads(ckpt.read_text())["metadata"]["train_config"]
+        assert recorded["batch_size"] == TrainConfig().batch_size > 1
+        argv = ["predict", str(SAMPLE), "--model", str(ckpt), "--out", str(pred)]
+        assert main(argv) == 0
+        predicted = parse_bracketed(pred.read_text())
+        gold = [preprocess(tree) for tree in parse_bracketed(SAMPLE.read_text())]
+        gold = [tree for tree in gold if tree is not None]
+        assert len(predicted) == len(gold)
+        for got, want in zip(predicted, gold):
+            assert [(l.word, l.tag) for l in leaves(got)] == [
+                (l.word, l.tag) for l in leaves(want)
+            ]
+
     def test_full_pipeline(self, tmp_path, mini_treebank, capsys):
         ckpt = tmp_path / "model.json"
         metrics = tmp_path / "metrics.jsonl"
@@ -541,6 +563,37 @@ class TestTrainPredictScore:
         assert main(argv + ["--epochs", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == f"error: io: cannot write {out}: {reason}"
+
+    @pytest.mark.parametrize("output", ["--out", "--metrics"])
+    def test_unwritable_output_fails_before_training(
+        self, tmp_path, capsys, output
+    ):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        paths = {"--out": tmp_path / "m.json", "--metrics": tmp_path / "metrics.jsonl"}
+        paths[output] = tmp_path / "missing" / paths[output].name
+        argv = ["train", "--train", str(SAMPLE), "--dev", str(SAMPLE)]
+        argv += ["--config", str(config), "--epochs", "1"]
+        argv += [part for pair in paths.items() for part in map(str, pair)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: io: cannot write {paths[output]}: No such file or directory\n"
+        )
+        assert not any(path.exists() for path in paths.values())
+
+    def test_failed_run_keeps_a_checkpoint_it_did_not_write(self, tmp_path, capsys):
+        config = tmp_path / "diverge.cfg"
+        config.write_text(SMALL_MODEL + "learning_rate = 1e30\n")
+        ckpt = tmp_path / "m.json"
+        ckpt.write_text("earlier\n")
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
+        argv += ["--epochs", "1", "--out", str(ckpt), "--metrics", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: train: non-finite")
+        assert ckpt.read_text() == "earlier\n"
+        assert not (tmp_path / "x").exists()
 
     def test_metrics_that_cannot_be_written_leave_no_checkpoint(
         self, tmp_path, capsys
@@ -649,6 +702,13 @@ class TestTrainPredictScore:
                 ("beta2", "1", "beta2 must be a finite number in [0, 1), got 1.0"),
                 ("weight_decay", "-5", "weight_decay must be a finite number"
                  " not below 0, got -5.0"),
+                ("batch_size", "0", "batch_size must be an integer of at least 1,"
+                 " got 0"),
+                ("batch_size", "-1", "batch_size must be an integer of at least 1,"
+                 " got -1"),
+                ("batch_size", "2.5", "batch_size must be an integer, got '2.5'"),
+                ("batch_size", "four", "batch_size must be an integer, got 'four'"),
+                ("learning_rate", "fast", "learning_rate must be a number, got 'fast'"),
             ]
         ]
         + [
@@ -1408,6 +1468,17 @@ class TestInputContract:
             code = self.run(capsys, argv, out, f"config {config!r}")
             count("config train", code)
             if code == 0:
+                training.load_checkpoint(out)
+        # batch_size of the wrong type, out of range, and larger than the
+        # corpus, which trains as one batch
+        huge = "1" + "0" * 30
+        for value, want in (("x", 1), ("4.0", 1), ("0", 1), ("-1", 1), (huge, 0)):
+            edited.write_text(SMALL_MODEL + f"batch_size = {value}\n")
+            argv = ["train", "--train", str(SAMPLE), "--config", str(edited),
+                    "--epochs", "1", "--out", str(out)]
+            assert self.run(capsys, argv, out, f"batch_size = {value}") == want, value
+            count("config train", want)
+            if want == 0:
                 training.load_checkpoint(out)
 
         bench_values = {

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distparse import codec, model
+from distparse import codec, losses, model
 
 from helpers import reference_bilstm_backward
 
@@ -134,19 +134,90 @@ class TestBatch:
         with pytest.raises(ValueError, match="empty batch"):
             model.forward_batch(params, config, [], [])
 
-    def test_backward_needs_a_one_sentence_result(self):
+    def test_backward_needs_kept_activations(self):
         config = tiny_config()
         params = model.init_params(config, np.random.default_rng(0))
-        # a two-sentence batch, and a one-sentence batch that kept no
-        # activations for the backward pass
+        # batches of two and of one sentence that kept no activations for
+        # the backward pass
         for word_ids, tag_ids in (([[1, 2], [3]], [[0, 1], [2]]), ([[1, 2]], [[0, 1]])):
             result = model.forward_batch(params, config, word_ids, tag_ids)
-            with pytest.raises(ValueError, match="needs the result of forward"):
+            with pytest.raises(ValueError, match="kept with keep_activations"):
                 model.backward(
-                    params, config, result, np.zeros(1),
-                    np.zeros((2, config.word_label_vocab)),
-                    np.zeros((1, config.split_label_vocab)),
+                    params, config, result, np.zeros_like(result.distances),
+                    np.zeros_like(result.word_probs),
+                    np.zeros_like(result.split_probs),
                 )
+
+
+def summed_sentence_losses(params, config, examples, kind):
+    parts = {"distance": 0.0, "label": 0.0, "total": 0.0}
+    grads = np.zeros_like(params.flat)
+    for example in examples:
+        one, one_grads = model.sentence_loss(params, config, *example, kind)
+        for key in parts:
+            parts[key] += one[key]
+        grads += one_grads.flat
+    return parts, grads
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("kind", model.LOSS_KINDS)
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [1, 5, 3, 1, 8, 2],  # 1-word sentences among longer ones
+            [9, 2, 11, 1, 6, 3, 10, 1, 4, 7, 1, 5],
+            [7, 1],
+            [4, 4, 4],
+            [1, 1, 1, 1],  # no split column at all
+            [1],
+        ],
+    )
+    def test_gradients_are_the_sum_of_the_sentence_gradients(self, lengths, kind):
+        config = tiny_config()
+        rng = np.random.default_rng(sum(lengths) + len(lengths))
+        for _ in range(3):
+            params = model.init_params(config, rng)
+            shuffled = rng.permutation(lengths)
+            examples = [random_example(rng, config, n) for n in shuffled]
+            parts, grads = model.batch_loss(params, config, examples, kind)
+            want_parts, want = summed_sentence_losses(params, config, examples, kind)
+            assert grads.shapes() == params.shapes()
+            np.testing.assert_allclose(grads.flat, want, rtol=0.0, atol=1e-12)
+            for key in parts:
+                assert parts[key] == pytest.approx(want_parts[key], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("kind", model.LOSS_KINDS)
+    def test_one_sentence_is_forward_losses_and_backward_bit_for_bit(self, n, kind):
+        # the one-sentence batch writes its loss gradients into padded
+        # arrays; that must give the bits of the unpadded composition
+        config = tiny_config()
+        rng = np.random.default_rng(300 + n)
+        params = model.init_params(config, rng)
+        example = random_example(rng, config, n)
+        parts, grads = model.batch_loss(params, config, [example], kind)
+        one_parts, one = model.sentence_loss(params, config, *example, kind)
+        result = model.forward(params, config, example[0], example[1])
+        loss_fn = losses.rank_loss if kind == "rank" else losses.mse_loss
+        dist, d_dist = loss_fn(example[2], result.distances)
+        word, d_word = losses.label_loss(example[3], result.word_probs)
+        split, d_split = losses.label_loss(example[4], result.split_probs)
+        want = model.backward(params, config, result, d_dist, d_word, d_split)
+        want_parts = {
+            "distance": dist, "label": word + split, "total": dist + word + split
+        }
+        assert parts == one_parts == want_parts
+        assert np.array_equal(grads.flat, one.flat)
+        assert np.array_equal(grads.flat, want.flat)
+
+    def test_unknown_loss_kind_and_empty_batch_rejected(self):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown distance loss"):
+            model.batch_loss(params, config, [([0], [0], [], [0], [])], "huber")
+        with pytest.raises(ValueError, match="empty batch"):
+            model.batch_loss(params, config, [], "rank")
 
 
 class TestFlatLayout:

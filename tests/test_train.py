@@ -12,6 +12,7 @@ from distparse.train import (
     NonFiniteError,
     TrainConfig,
     Vocabulary,
+    length_batches,
     load_checkpoint,
     predict_scores,
     predict_trees,
@@ -232,12 +233,115 @@ class TestTraining:
             {"epochs": -1},
             {"distance_loss": "hinge"},
             {"decode_engine": "warp"},
+            {"batch_size": 0},
+            {"batch_size": -1},
+            {"batch_size": 2.0},
+            {"batch_size": True},
+            {"batch_size": "4"},
         ],
     )
     def test_config_rejects_values_training_cannot_use(self, bad):
         (field,) = bad
         with pytest.raises(ValueError, match=field):
             small_config(**bad)
+
+    def test_batch_size_one_is_the_per_sentence_adam_loop(self):
+        # the loop training ran before it took batches, written out: one
+        # permutation per epoch, one sentence_loss and one Adam step per
+        # sentence
+        train_tuples, _ = small_corpus(40, 0)
+        config = small_config(epochs=2, batch_size=1)
+        result = train(train_tuples, [], config)
+        vocab = Vocabulary.build(train_tuples)
+        rng = np.random.default_rng(config.seed)
+        params = model.init_params(result.model_config, rng)
+        opt = Adam(
+            params.flat, config.learning_rate, config.beta1, config.beta2,
+            config.adam_eps, config.weight_decay,
+        )
+        examples = [
+            (
+                [vocab.word_id(w) for w in tup.words],
+                [vocab.tag_id(t) for t in tup.tags],
+                list(tup.distances),
+                [vocab.word_label_id(u) for u in tup.unary_labels],
+                [vocab.split_label_id(c) for c in tup.split_labels],
+            )
+            for tup in train_tuples
+        ]
+        for epoch in result.history:
+            total = 0.0
+            for index in rng.permutation(len(examples)):
+                parts, grads = model.sentence_loss(
+                    params, result.model_config, *examples[index], config.distance_loss
+                )
+                opt.step(params.flat, grads.flat)
+                total += parts["distance"]
+            assert epoch.distance_loss == total / len(examples)
+        assert np.array_equal(result.params.flat, params.flat)
+
+    @pytest.mark.parametrize("batch_size", [3, 10**12])
+    def test_batches_step_once_each_with_the_scaled_rate(self, batch_size, monkeypatch):
+        train_tuples, _ = small_corpus(10, 0)
+        steps = []
+        original = Adam.step
+
+        def record(self, params, grads, sentences=1):
+            steps.append(sentences)
+            original(self, params, grads, sentences)
+
+        monkeypatch.setattr(Adam, "step", record)
+        result = train(train_tuples, [], small_config(epochs=2, batch_size=batch_size))
+        per_epoch = [1, 3, 3, 3] if batch_size == 3 else [10]  # one batch for all
+        assert sorted(steps[: len(per_epoch)]) == sorted(steps[len(per_epoch) :])
+        assert sorted(steps[: len(per_epoch)]) == per_epoch
+        assert np.isfinite(result.params.flat).all()
+
+    def test_adam_step_over_k_sentences_moves_k_times_as_far_at_first(self):
+        # the first Adam step is lr * sign(g) per element (eps aside), so a
+        # step counted as k sentences moves k times as far
+        moves = []
+        for sentences in (1, 4):
+            w = np.array([1.0, -2.0])
+            opt = Adam(
+                w, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-12,
+                weight_decay=0.0,
+            )
+            opt.step(w, np.array([0.5, -3.0]), sentences)
+            moves.append(w - np.array([1.0, -2.0]))
+        np.testing.assert_allclose(moves[0], [-1e-3, 1e-3], rtol=1e-9)
+        np.testing.assert_allclose(moves[1], 4 * moves[0], rtol=1e-9)
+
+
+class TestLengthBatches:
+    def test_size_one_is_the_order_itself(self):
+        order = [4, 0, 3, 1, 2]
+        lengths = [5, 1, 9, 1, 3]
+        assert length_batches(order, lengths, 1) == [[i] for i in order]
+
+    def test_stable_length_sort_cut_and_ordered_by_earliest_member(self):
+        order = [4, 0, 3, 1, 2, 5]
+        lengths = [5, 1, 9, 1, 3, 5]
+        # by length, stably: 3, 1 (length 1), 4 (3), 0, 5 (5), 2 (9)
+        assert length_batches(order, lengths, 2) == [[4, 0], [3, 1], [5, 2]]
+        assert length_batches(order, lengths, 4) == [[3, 1, 4, 0], [5, 2]]
+        assert length_batches(order, lengths, 100) == [[3, 1, 4, 0, 5, 2]]
+
+    def test_every_index_once_and_batches_of_the_size(self):
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(1, 30, size=103).tolist()
+        order = rng.permutation(103).tolist()
+        batches = length_batches(order, lengths, 8)
+        assert sorted(i for batch in batches for i in batch) == list(range(103))
+        assert sorted(map(len, batches)) == [7] + [8] * 12
+        # each batch is a run of the stable length sort
+        by_length = sorted(order, key=lengths.__getitem__)
+        assert sorted(batches, key=lambda b: by_length.index(b[0])) == [
+            by_length[start : start + 8] for start in range(0, 103, 8)
+        ]
+
+    def test_empty_order_gives_no_batches(self):
+        assert length_batches([], [], 4) == []
 
 
 class TestPrediction:
