@@ -58,17 +58,17 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError("io", f"cannot write {path}: {exc.strerror}")
 
 
-def _claim(path: str) -> bool:
-    """Open ``path`` for writing without changing it, so that an output that
-    cannot be written fails before the work that would fill it; True if
-    this created the file."""
+def _check_writable(path: str) -> None:
+    """Fail now, not after the work that would fill it, if ``path`` cannot
+    be written; an existing file is left as it is, a new one removed."""
     existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise CliError("io", f"cannot write {path}: {exc.strerror}")
-    return not existed
+    if not existed:
+        os.remove(path)
 
 
 def _run_metadata(args: argparse.Namespace, command: str) -> dict:
@@ -179,7 +179,6 @@ def _parse_config_file(path: str) -> dict:
 _CONFIG_FIELDS = {
     field.name: type(field.default) for field in fields(training.TrainConfig)
 }
-_TYPE_WORDS = {int: "an integer", float: "a number"}
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -194,15 +193,8 @@ def _train_config(args) -> training.TrainConfig:
         "distance_loss": args.loss,
         "decode_engine": args.engine,
     }
-    values = {}
-    for key, value in raw.items():
-        kind = _CONFIG_FIELDS[key]
-        try:
-            values[key] = kind(value)
-        except ValueError:  # str, the remaining type, takes any value
-            message = f"{key} must be {_TYPE_WORDS[kind]}, got {value!r}"
-            raise CliError("config", message) from None
     try:
+        values = {key: _CONFIG_FIELDS[key](value) for key, value in raw.items()}
         values.update((key, value) for key, value in flags.items() if value is not None)
         return training.TrainConfig(**values)
     except ValueError as exc:
@@ -223,31 +215,26 @@ def cmd_train(args) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
-    written = set()  # the outputs this run created or overwrote
+    for path in (args.out, args.metrics):
+        if path:
+            _check_writable(path)
+    result = training.train(train_tuples, dev_tuples, config, log=log)
+    metadata = _run_metadata(args, "train")
+    metadata["train_config"] = asdict(config)
+    metadata["skipped_empty"] = {"train": skipped_train, "dev": skipped_dev}
+    metadata["best_epoch"] = result.best_epoch
     try:
-        for path in (args.out, args.metrics):  # fail before training, not after
-            if path and _claim(path):
-                written.add(path)
-        result = training.train(train_tuples, dev_tuples, config, log=log)
-        metadata = _run_metadata(args, "train")
-        metadata["train_config"] = asdict(config)
-        metadata["skipped_empty"] = {"train": skipped_train, "dev": skipped_dev}
-        metadata["best_epoch"] = result.best_epoch
-        written.add(args.out)
+        training.save_checkpoint(args.out, result, metadata=metadata)
+    except OSError as exc:
+        raise CliError("io", f"cannot write {args.out}: {exc.strerror}")
+    if args.metrics:
+        metrics_lines = [json.dumps({"run": metadata})]
+        metrics_lines += [json.dumps(asdict(epoch)) for epoch in result.history]
         try:
-            training.save_checkpoint(args.out, result, metadata=metadata)
-        except OSError as exc:
-            raise CliError("io", f"cannot write {args.out}: {exc.strerror}")
-        if args.metrics:
-            metrics_lines = [json.dumps({"run": metadata})]
-            metrics_lines += [json.dumps(asdict(epoch)) for epoch in result.history]
-            written.add(args.metrics)
             _write_text(args.metrics, "".join(line + "\n" for line in metrics_lines))
-    except BaseException:  # a failed run leaves no output behind
-        for path in written:
-            if os.path.isfile(path):
-                os.remove(path)
-        raise
+        except CliError:
+            os.remove(args.out)  # a failed run leaves no checkpoint behind
+            raise
     best = result.history[result.best_epoch - 1] if result.history else None
     if best is not None:
         print(

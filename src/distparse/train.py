@@ -98,20 +98,16 @@ _FLOAT_RULES = {
 class TrainConfig:
     """Training settings, and the one place their desk-scale defaults are
     written; the fields are the keys of a ``--config`` file. Rejects, with
-    ``ValueError``, fewer than one epoch, a negative seed, a ``batch_size``
-    that is not an integer of at least 1, a model dimension that
-    ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
+    ``ValueError``, fewer than one epoch, a negative seed, a model dimension
+    that ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
     rule or is not finite, and an unknown loss or decode engine.
 
-    Training steps once per batch of up to ``batch_size`` sentences (see
-    :func:`train`). ``learning_rate`` is per sentence: a step over a batch
-    of k sentences moves by ``learning_rate * k``, the linear scaling rule
-    (Goyal et al., arXiv:1706.02677), so ``batch_size = 1`` is plain
-    per-sentence Adam."""
+    ``learning_rate`` is per sentence: training steps once per batch of up
+    to :data:`TRAIN_BATCH` sentences, and a step over k sentences moves by
+    ``learning_rate * k`` (see :func:`train`)."""
 
     epochs: int = 20
     seed: int = 0
-    batch_size: int = 4
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -129,10 +125,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if type(self.batch_size) is not int or self.batch_size < 1:  # not bool
-            raise ValueError(
-                f"batch_size must be an integer of at least 1, got {self.batch_size!r}"
-            )
         dims = (self.embed_dim, self.hidden_dim, self.conv_channels, self.ff_hidden)
         model.ModelConfig(1, 1, 1, 1, *dims)
         for name, (holds, rule) in _FLOAT_RULES.items():
@@ -249,10 +241,11 @@ def train(
     F1. Deterministic given the corpus and ``config.seed``.
 
     Each epoch draws one permutation of the corpus and cuts it into
-    batches of sentences of similar length with :func:`length_batches`;
-    each batch is one :func:`~distparse.model.batch_loss` (its summed loss)
-    and one Adam step. With ``batch_size = 1`` the batches are the
-    permutation itself, one sentence each.
+    :func:`length_batches` of :data:`TRAIN_BATCH`; each batch is one
+    :func:`~distparse.model.batch_loss` (its summed loss) and one Adam step
+    of ``learning_rate`` times the batch's own size, a factor measured to
+    keep the per-sentence step (README, "Training"). At a batch size of 1
+    the batches are the permutation itself, one sentence each.
 
     Raises :class:`NonFiniteError` as soon as a batch's loss, or the
     parameters at the end of an epoch, are NaN or infinite, rather than
@@ -293,7 +286,7 @@ def train(
         order = rng.permutation(len(examples)).tolist()
         sum_dist = 0.0
         sum_label = 0.0
-        for batch in length_batches(order, lengths, config.batch_size):
+        for batch in length_batches(order, lengths, TRAIN_BATCH):
             parts, grads = model.batch_loss(
                 params,
                 model_config,
@@ -339,8 +332,10 @@ def train(
     return result
 
 
-# predict and dev evaluation run the model over batches of this many
-# sentences, cut by length_batches as training's are
+# training steps once per batch of this many sentences; predict and dev
+# evaluation run the model over batches of PREDICT_BATCH; length_batches
+# cuts both
+TRAIN_BATCH = 4
 PREDICT_BATCH = 32
 
 

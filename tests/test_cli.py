@@ -34,12 +34,8 @@ GOLDEN = {
 # is dropped by preprocessing but still counts as a tree read
 BAD_LABEL_TREEBANK = "(S (NN a))\n(S (NP (-NONE- *)))\n(S+ (NN b) (NN c))\n"
 BAD_LABEL_MESSAGE = "tree 3: label 'S+' contains the chain separator '+'"
-# a model small enough to train on anything in a test; one sentence per
-# step, so the committed predict outputs pin the batch_size = 1 trajectory
-SMALL_MODEL = (
-    "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
-    "batch_size = 1\n"
-)
+# a model small enough to train on anything in a test
+SMALL_MODEL = "embed_dim = 4\nhidden_dim = 4\nconv_channels = 4\nff_hidden = 4\n"
 
 
 @pytest.fixture
@@ -56,7 +52,11 @@ def small_checkpoint(tmp_path_factory):
     write_treebank(pcfg.generate_trees(20, seed=901), corpus)
     config.write_text(SMALL_MODEL)
     argv = ["train", "--train", str(corpus), "--config", str(config)]
-    assert main(argv + ["--epochs", "1", "--out", str(ckpt)]) == 0
+    # one sentence per step, so the committed predict outputs pin the
+    # trajectory of batches of one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "TRAIN_BATCH", 1)
+        assert main(argv + ["--epochs", "1", "--out", str(ckpt)]) == 0
     return ckpt
 
 
@@ -465,11 +465,10 @@ class TestTrainPredictScore:
 
     def test_model_trained_in_default_batches_parses_every_sentence(self, tmp_path):
         config, ckpt, pred = tmp_path / "small.cfg", tmp_path / "m.json", tmp_path / "p"
-        config.write_text(SMALL_MODEL.replace("batch_size = 1", "# default batch_size"))
+        config.write_text(SMALL_MODEL)
+        assert training.TRAIN_BATCH > 1
         argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
         assert main(argv + ["--epochs", "2", "--out", str(ckpt)]) == 0
-        recorded = json.loads(ckpt.read_text())["metadata"]["train_config"]
-        assert recorded["batch_size"] == TrainConfig().batch_size > 1
         argv = ["predict", str(SAMPLE), "--model", str(ckpt), "--out", str(pred)]
         assert main(argv) == 0
         predicted = parse_bracketed(pred.read_text())
@@ -702,13 +701,6 @@ class TestTrainPredictScore:
                 ("beta2", "1", "beta2 must be a finite number in [0, 1), got 1.0"),
                 ("weight_decay", "-5", "weight_decay must be a finite number"
                  " not below 0, got -5.0"),
-                ("batch_size", "0", "batch_size must be an integer of at least 1,"
-                 " got 0"),
-                ("batch_size", "-1", "batch_size must be an integer of at least 1,"
-                 " got -1"),
-                ("batch_size", "2.5", "batch_size must be an integer, got '2.5'"),
-                ("batch_size", "four", "batch_size must be an integer, got 'four'"),
-                ("learning_rate", "fast", "learning_rate must be a number, got 'fast'"),
             ]
         ]
         + [
@@ -1468,17 +1460,6 @@ class TestInputContract:
             code = self.run(capsys, argv, out, f"config {config!r}")
             count("config train", code)
             if code == 0:
-                training.load_checkpoint(out)
-        # batch_size of the wrong type, out of range, and larger than the
-        # corpus, which trains as one batch
-        huge = "1" + "0" * 30
-        for value, want in (("x", 1), ("4.0", 1), ("0", 1), ("-1", 1), (huge, 0)):
-            edited.write_text(SMALL_MODEL + f"batch_size = {value}\n")
-            argv = ["train", "--train", str(SAMPLE), "--config", str(edited),
-                    "--epochs", "1", "--out", str(out)]
-            assert self.run(capsys, argv, out, f"batch_size = {value}") == want, value
-            count("config train", want)
-            if want == 0:
                 training.load_checkpoint(out)
 
         bench_values = {

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from distparse import model, pcfg
+from distparse import model, pcfg, train as training
 from distparse.binarize import EMPTY_LABEL, LabelError, binarize, debinarize
 from distparse.codec import ENGINES, decode, encode
 from distparse.scoring import score
@@ -233,11 +233,6 @@ class TestTraining:
             {"epochs": -1},
             {"distance_loss": "hinge"},
             {"decode_engine": "warp"},
-            {"batch_size": 0},
-            {"batch_size": -1},
-            {"batch_size": 2.0},
-            {"batch_size": True},
-            {"batch_size": "4"},
         ],
     )
     def test_config_rejects_values_training_cannot_use(self, bad):
@@ -245,12 +240,13 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             small_config(**bad)
 
-    def test_batch_size_one_is_the_per_sentence_adam_loop(self):
+    def test_batches_of_one_are_the_per_sentence_adam_loop(self, monkeypatch):
         # the loop training ran before it took batches, written out: one
         # permutation per epoch, one sentence_loss and one Adam step per
         # sentence
         train_tuples, _ = small_corpus(40, 0)
-        config = small_config(epochs=2, batch_size=1)
+        config = small_config(epochs=2)
+        monkeypatch.setattr(training, "TRAIN_BATCH", 1)
         result = train(train_tuples, [], config)
         vocab = Vocabulary.build(train_tuples)
         rng = np.random.default_rng(config.seed)
@@ -291,7 +287,8 @@ class TestTraining:
             original(self, params, grads, sentences)
 
         monkeypatch.setattr(Adam, "step", record)
-        result = train(train_tuples, [], small_config(epochs=2, batch_size=batch_size))
+        monkeypatch.setattr(training, "TRAIN_BATCH", batch_size)
+        result = train(train_tuples, [], small_config(epochs=2))
         per_epoch = [1, 3, 3, 3] if batch_size == 3 else [10]  # one batch for all
         assert sorted(steps[: len(per_epoch)]) == sorted(steps[len(per_epoch) :])
         assert sorted(steps[: len(per_epoch)]) == per_epoch
