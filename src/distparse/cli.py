@@ -138,7 +138,7 @@ def cmd_decode(args) -> int:
             continue
         try:
             tup = codec.from_json_line(line)
-            tree = codec.decode_tree(tup, args.engine)
+            tree = codec.decode_tree(tup)
         except ValueError as exc:
             raise ValueError(f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
@@ -152,7 +152,7 @@ def cmd_roundtrip(args) -> int:
     mismatches = []
     for index, (tree, tup) in enumerate(pairs):
         reference = serialize_bracketed(tree)
-        restored = serialize_bracketed(codec.decode_tree(tup, args.engine))
+        restored = serialize_bracketed(codec.decode_tree(tup))
         if restored != reference:
             mismatches.append((index, reference, restored))
     print(f"roundtrip: {len(pairs)} trees, {len(mismatches)} mismatches")
@@ -191,7 +191,6 @@ def _train_config(args) -> training.TrainConfig:
         "epochs": args.epochs,
         "seed": args.seed,
         "distance_loss": args.loss,
-        "decode_engine": args.engine,
     }
     try:
         values = {key: _CONFIG_FIELDS[key](value) for key, value in raw.items()}
@@ -202,6 +201,8 @@ def _train_config(args) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    if args.metrics and os.path.realpath(args.metrics) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --metrics name the same file {args.out}")
     config = _train_config(args)
     train_tuples, skipped_train = _load_sentences(args.train, encode_tree)
     dev_tuples, skipped_dev = (
@@ -235,12 +236,14 @@ def cmd_train(args) -> int:
         except CliError:
             os.remove(args.out)  # a failed run leaves no checkpoint behind
             raise
-    best = result.history[result.best_epoch - 1] if result.history else None
-    if best is not None:
+    if dev_tuples:
+        best = result.history[result.best_epoch - 1]
         print(
             f"best epoch {result.best_epoch}: dev labeled F1 "
             f"{best.dev_labeled_f1:.2f}, unlabeled {best.dev_unlabeled_f1:.2f}"
         )
+    else:
+        print(f"kept the last epoch, {result.best_epoch} (no dev set)")
     return 0
 
 
@@ -251,7 +254,7 @@ def cmd_predict(args) -> int:
         raise CliError("checkpoint", f"{args.model}: {exc}")
     sentences, skipped = _load_sentences(args.input, _words_and_tags)
     predicted = training.predict_trees(
-        result.params, result.model_config, result.vocab, sentences, engine=args.engine
+        result.params, result.model_config, result.vocab, sentences
     )
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
     _write_text(args.out, "".join(lines))
@@ -277,9 +280,6 @@ def cmd_bench(args) -> int:
         raise ValueError("--sizes names no size")
     if not engines:
         raise ValueError("--engines names no engine")
-    for engine in engines:
-        if engine not in codec.ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     seed = args.seed if args.seed is not None else 0
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="score tuples (JSONL) -> treebank file")
     p.add_argument("input")
-    p.add_argument("--engine", choices=codec.ENGINES, default="stack")
     p.add_argument("--out")
     p.set_defaults(func=cmd_decode)
 
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "roundtrip", help="verify encode->decode reproduces a treebank file"
     )
     p.add_argument("input")
-    p.add_argument("--engine", choices=codec.ENGINES, default="stack")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("train", help="train a score model on treebank files")
@@ -340,13 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--loss", choices=model.LOSS_KINDS)
-    p.add_argument("--engine", choices=codec.ENGINES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="parse sentences from a treebank file")
     p.add_argument("input", help="treebank file supplying words and tags")
     p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--engine", choices=codec.ENGINES, default="stack")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 

@@ -18,6 +18,9 @@ inputs, ties included (the leftmost maximum wins, see :func:`root_split`):
 - ``rmq``: argmax via a precomputed sparse table; O(n log n) worst case.
 - ``stack``: bottom-up monotonic-stack construction; linear time.
 
+:func:`decode_tree` runs ``stack``, the fastest; :func:`decode` takes any
+engine by name, which is how they are compared.
+
 Tuples and tables are immutable once built, and the left/right subranges
 of a split never interact, so spans could be decoded concurrently; the
 engines here are sequential.
@@ -287,14 +290,15 @@ def decode(tup: DistanceTuple, engine: str = "stack") -> BinaryTree:
     return nodes[root]
 
 
-def decode_tree(tup: DistanceTuple, engine: str = "stack") -> Tree:
+def decode_tree(tup: DistanceTuple) -> Tree:
     """The n-ary tree of the binary tree :func:`decode` gives, built
     without it: empty-labeled splits are spliced out and collapsed chains
-    expanded. Raises :class:`~distparse.binarize.StructureError` if the
-    root split is empty-labeled (there is no parent to splice its children
-    into), and :class:`~distparse.binarize.LabelError` for the first chain
-    label, in pre-order, that binarize rejects."""
-    root, left, right = _child_indices(tup, engine)
+    expanded, with the ``stack`` engine. Raises
+    :class:`~distparse.binarize.StructureError` if the root split is
+    empty-labeled (there is no parent to splice its children into), and
+    :class:`~distparse.binarize.LabelError` for the first chain label, in
+    pre-order, that binarize rejects."""
+    root, left, right = _child_indices(tup, "stack")
     words, tags, unary, labels = tup.words, tup.tags, tup.unary_labels, tup.split_labels
     if root >= 0 and labels[root] == EMPTY_LABEL:
         raise StructureError("root carries the empty label")

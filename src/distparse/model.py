@@ -115,9 +115,6 @@ class FlatParams(dict):
             self, {name: flat[part].reshape(shape) for name, part, shape in layout}
         )
 
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: shape for name, _, shape in self._layout}
-
     def _with_flat(self, flat: np.ndarray) -> "FlatParams":
         """A buffer with this layout over ``flat``, reusing the layout."""
         other = dict.__new__(FlatParams)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import model
 from .binarize import EMPTY_LABEL, LabelError, split_chain
-from .codec import ENGINES, DistanceTuple, decode_tree, root_split
+from .codec import DistanceTuple, decode_tree, root_split
 from .scoring import score
 from .trees import Tree
 
@@ -100,7 +100,7 @@ class TrainConfig:
     written; the fields are the keys of a ``--config`` file. Rejects, with
     ``ValueError``, fewer than one epoch, a negative seed, a model dimension
     that ``ModelConfig`` rejects, a float that breaks its :data:`_FLOAT_RULES`
-    rule or is not finite, and an unknown loss or decode engine.
+    rule or is not finite, and an unknown loss.
 
     ``learning_rate`` is per sentence: training steps once per batch of up
     to :data:`TRAIN_BATCH` sentences, and a step over k sentences moves by
@@ -118,7 +118,6 @@ class TrainConfig:
     hidden_dim: int = 32
     conv_channels: int = 32
     ff_hidden: int = 32
-    decode_engine: str = "stack"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -135,10 +134,6 @@ class TrainConfig:
             raise ValueError(
                 f"distance_loss must be one of {model.LOSS_KINDS}, "
                 f"got {self.distance_loss!r}"
-            )
-        if self.decode_engine not in ENGINES:
-            raise ValueError(
-                f"decode_engine must be one of {ENGINES}, got {self.decode_engine!r}"
             )
 
 
@@ -238,7 +233,8 @@ def train(
     log=None,
 ) -> TrainResult:
     """Train on encoded sentences; keep the epoch with the best dev labeled
-    F1. Deterministic given the corpus and ``config.seed``.
+    F1, or the last epoch when there are no dev tuples (their F1 fields
+    then read 0). Deterministic given the corpus and ``config.seed``.
 
     Each epoch draws one permutation of the corpus and cuts it into
     :func:`length_batches` of :data:`TRAIN_BATCH`; each batch is one
@@ -276,7 +272,7 @@ def train(
     )
     examples = [_encode_example(tup, vocab) for tup in train_tuples]
     lengths = [len(tup.words) for tup in train_tuples]
-    gold_dev_trees = [decode_tree(tup, config.decode_engine) for tup in dev_tuples]
+    gold_dev_trees = [decode_tree(tup) for tup in dev_tuples]
     dev_sentences = [(tup.words, tup.tags) for tup in dev_tuples]
 
     result = TrainResult(params, model_config, vocab)
@@ -303,9 +299,7 @@ def train(
             raise NonFiniteError(f"non-finite parameters at epoch {epoch}")
         labeled_f1 = unlabeled_f1 = 0.0
         if dev_tuples:
-            predictions = predict_trees(
-                params, model_config, vocab, dev_sentences, config.decode_engine
-            )
+            predictions = predict_trees(params, model_config, vocab, dev_sentences)
             report = score(gold_dev_trees, predictions)
             labeled_f1 = report.labeled_f1
             unlabeled_f1 = report.unlabeled_f1
@@ -319,10 +313,10 @@ def train(
         )
         result.history.append(metrics)
         if log is not None:
+            dev = f" dev F1 {labeled_f1:.2f}/{unlabeled_f1:.2f} (labeled/unlabeled)"
             log(
                 f"epoch {epoch}: distance {metrics.distance_loss:.4f} "
-                f"label {metrics.label_loss:.4f} "
-                f"dev F1 {labeled_f1:.2f}/{unlabeled_f1:.2f} (labeled/unlabeled)"
+                f"label {metrics.label_loss:.4f}{dev if dev_tuples else ''}"
             )
         if not dev_tuples or labeled_f1 > best_f1:
             best_f1 = labeled_f1
@@ -433,11 +427,11 @@ def predict_trees(
     model_config,
     vocab,
     sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
-    engine: str = "stack",
 ) -> list[Tree]:
     """Parse ``(words, tags)`` pairs: :func:`predict_scores` in
     :func:`length_batches` of :data:`PREDICT_BATCH`, each tuple decoded to
-    an n-ary tree, in input order."""
+    an n-ary tree by :func:`~distparse.codec.decode_tree`, in input
+    order."""
     lengths = [len(words) for words, _ in sentences]
     parsed: list = [None] * len(sentences)
     for chunk in length_batches(range(len(sentences)), lengths, PREDICT_BATCH):
@@ -445,7 +439,7 @@ def predict_trees(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )
         for index, tup in zip(chunk, scored):
-            parsed[index] = decode_tree(tup, engine)
+            parsed[index] = decode_tree(tup)
     return parsed
 
 

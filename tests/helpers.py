@@ -244,6 +244,11 @@ def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def param_layout(params) -> list[tuple[str, tuple[int, ...]]]:
+    """Each parameter's name and shape, in the order of the flat vector."""
+    return [(name, value.shape) for name, value in params.items()]
+
+
 def rank_signature(distances) -> tuple[int, ...]:
     """Indices ordered by decreasing score, ties broken leftmost. Two score
     vectors with equal signatures decode to identical tree shapes."""

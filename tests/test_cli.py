@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import re
+import shlex
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -18,9 +19,15 @@ from distparse.trees import (
     preprocess,
     serialize_bracketed,
 )
-from helpers import MALFORMED_TREEBANKS, write_treebank
+from helpers import (
+    MALFORMED_TREEBANKS,
+    reference_debinarize,
+    reference_serialize,
+    write_treebank,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample_treebank.mrg"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # the encode output of SAMPLE, committed so that any change to it shows
 SAMPLE_JSONL = Path(__file__).resolve().parent / "data" / "sample_treebank.jsonl"
 # more outputs on SAMPLE, committed for the same reason: `score --json` of
@@ -78,15 +85,16 @@ class TestEncodeDecode:
         assert main(["decode", str(jsonl), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == canonical(SAMPLE)
 
-    def test_engines_produce_identical_files(self, tmp_path, mini_treebank):
+    def test_decode_file_holds_every_engines_trees(self, tmp_path, mini_treebank):
         jsonl = tmp_path / "mini.jsonl"
+        out = tmp_path / "mini.out.mrg"
         assert main(["encode", str(mini_treebank), "--out", str(jsonl)]) == 0
-        outputs = []
-        for engine in ("scan", "rmq", "stack"):
-            out = tmp_path / f"out.{engine}.mrg"
-            assert main(["decode", str(jsonl), "--engine", engine, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 0
+        tuples = [codec.from_json_line(line) for line in jsonl.read_text().splitlines()]
+        for engine in codec.ENGINES:
+            trees = [reference_debinarize(codec.decode(tup, engine)) for tup in tuples]
+            expected = "".join(reference_serialize(tree) + "\n" for tree in trees)
+            assert out.read_text() == expected, engine
 
     def test_sample_treebank_encodes_to_the_committed_jsonl(self, tmp_path):
         jsonl = tmp_path / "sample.jsonl"
@@ -606,6 +614,43 @@ class TestTrainPredictScore:
         assert err == f"error: io: cannot write {metrics}: No such file or directory"
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_out_and_metrics_naming_one_file_fail_before_any_reading(
+        self, tmp_path, capsys, spelling
+    ):
+        ckpt = tmp_path / "m.json"
+        metrics = ckpt if spelling == "same" else tmp_path / "sub" / ".." / "m.json"
+        # a missing treebank: the paths are compared before it is read
+        argv = ["train", "--train", str(tmp_path / "missing.mrg")]
+        assert main(argv + ["--out", str(ckpt), "--metrics", str(metrics)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: train: --out and --metrics name the same file {ckpt}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dev", [False, True], ids=["no dev", "dev"])
+    def test_dev_scores_are_reported_only_with_a_dev_set(self, tmp_path, capsys, dev):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        ckpt = tmp_path / "m.json"
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
+        argv += ["--dev", str(SAMPLE)] if dev else []
+        assert main(argv + ["--epochs", "2", "--out", str(ckpt)]) == 0
+        captured = capsys.readouterr()
+        epoch = r"epoch \d: distance \d+\.\d{4} label \d+\.\d{4}"
+        if dev:
+            epoch += r" dev F1 \d+\.\d\d/\d+\.\d\d \(labeled/unlabeled\)"
+            assert re.fullmatch(
+                r"best epoch \d: dev labeled F1 \d+\.\d\d, unlabeled \d+\.\d\d\n",
+                captured.out,
+            )
+        else:
+            assert captured.out == "kept the last epoch, 2 (no dev set)\n"
+            assert json.loads(ckpt.read_text())["metadata"]["best_epoch"] == 2
+        assert re.fullmatch(f"({epoch}\n){{2}}", captured.err)
+
     def test_same_seed_gives_identical_metrics(self, tmp_path, mini_treebank):
         ckpt = tmp_path / "model.json"
         metrics = tmp_path / "metrics.jsonl"
@@ -647,18 +692,21 @@ class TestTrainPredictScore:
         assert payload["metadata"]["train_config"]["seed"] == 9
         assert payload["model"]["hidden_dim"] == 8
 
-    def test_unknown_config_key_rejected(self, tmp_path, mini_treebank, capsys):
+    @pytest.mark.parametrize("key", ["learnign_rate", "decode_engine"])
+    def test_unknown_config_key_rejected(self, tmp_path, mini_treebank, capsys, key):
         config = tmp_path / "bad.cfg"
-        config.write_text("learnign_rate = 0.1\n")
+        config.write_text(f"{key} = 0.1\n")
+        ckpt = tmp_path / "m.json"
         assert main(
             [
                 "train",
                 "--train", str(mini_treebank),
                 "--config", str(config),
-                "--out", str(tmp_path / "m.json"),
+                "--out", str(ckpt),
             ]
         ) == 1
-        assert "unknown keys" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config: unknown keys: {key}\n"
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize(
         "lines, flags",
@@ -667,7 +715,6 @@ class TestTrainPredictScore:
             ("epochs = -2\n", []),
             ("", ["--epochs", "0"]),
             ("distance_loss = foo\n", []),
-            ("decode_engine = foo\n", []),
             ("seed = -3\n", []),
             ("", ["--seed", "-1"]),
         ],
@@ -752,13 +799,11 @@ class TestTrainPredictScore:
             "".join(f"{key} = {value}\n" for key, value in asdict(TrainConfig()).items())
         )
         ckpt = tmp_path / "model.json"
-        flags = ["--epochs", "1", "--seed", "3", "--loss", "mse", "--engine", "rmq"]
+        flags = ["--epochs", "1", "--seed", "3", "--loss", "mse"]
         argv = ["train", "--train", str(mini_treebank), "--config", str(config)]
         assert main(argv + flags + ["--out", str(ckpt)]) == 0
         recorded = json.loads(ckpt.read_text())["metadata"]["train_config"]
-        expected = replace(
-            TrainConfig(), epochs=1, seed=3, distance_loss="mse", decode_engine="rmq"
-        )
+        expected = replace(TrainConfig(), epochs=1, seed=3, distance_loss="mse")
         assert recorded == asdict(expected)
 
     def test_metrics_lines_hold_the_epoch_metrics_fields(self, tmp_path, mini_treebank):
@@ -1224,7 +1269,11 @@ class TestArgumentErrors:
             ["bench", "--frobnicate"],
             ["bench", "--reps", "x"],
             ["train", "--train", "in.mrg", "--epochs", "1.5"],
-            ["decode", "in.jsonl", "--engine", "warp"],
+            # only bench chooses among the decoder engines
+            ["decode", "in.jsonl", "--engine", "rmq"],
+            ["roundtrip", "in.mrg", "--engine", "rmq"],
+            ["train", "--train", "in.mrg", "--engine", "rmq"],
+            ["predict", "in.mrg", "--model", "m.json", "--engine", "rmq"],
             ["train", "--train", "in.mrg", "--loss", "l1"],
             ["bench", "--shape", "square"],
             ["encode"],
@@ -1430,8 +1479,7 @@ class TestInputContract:
                 lines[at] = dumps_edited(edit_json(rng, records[at]))
                 text = "".join(line + "\n" for line in lines).encode()
             edited.write_bytes(text)
-            engine = codec.ENGINES[case % len(codec.ENGINES)]
-            argv = ["decode", str(edited), "--engine", engine, "--out", str(out)]
+            argv = ["decode", str(edited), "--out", str(out)]
             code = self.run(capsys, argv, out, f"JSONL edit {case}: {text!r}")
             count("jsonl decode", code)
             if code == 0:
@@ -1481,3 +1529,25 @@ class TestInputContract:
 
         # the edits reach both outcomes of every command
         assert all(ok and failed for ok, failed in exits.values()), sorted(exits.items())
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``distparse …`` line in README.md's ``sh``
+    blocks, with ``\\`` continuations joined and ``# …`` comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["distparse"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    names = {"encode", "decode", "roundtrip", "train", "predict", "score", "bench"}
+    assert {argv[0] for argv in commands} == names  # every command has an example
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a rejected argument raises CliError

@@ -301,7 +301,7 @@ class TestDecodeTree:
             tup = random_tuple(rng, int(rng.integers(1, 61)))
             for engine in ENGINES:
                 expected = outcome(lambda: reference_debinarize(decode(tup, engine)))
-                assert outcome(lambda: decode_tree(tup, engine)) == expected
+                assert outcome(lambda: decode_tree(tup)) == expected
                 raised += isinstance(expected, tuple)
         assert 0 < raised < 300 * len(ENGINES)
 
@@ -317,7 +317,7 @@ class TestDecodeTree:
             split_labels=("X",) * (n - 1),
         )
         expected = reference_serialize(reference_debinarize(decode(tup, engine)))
-        assert reference_serialize(decode_tree(tup, engine)) == expected
+        assert reference_serialize(decode_tree(tup)) == expected
 
 
 class TestRankSignature:

@@ -5,7 +5,7 @@ import pytest
 
 from distparse import codec, losses, model
 
-from helpers import reference_bilstm_backward
+from helpers import param_layout, reference_bilstm_backward
 
 
 def tiny_config():
@@ -182,7 +182,7 @@ class TestBatchLoss:
             examples = [random_example(rng, config, n) for n in shuffled]
             parts, grads = model.batch_loss(params, config, examples, kind)
             want_parts, want = summed_sentence_losses(params, config, examples, kind)
-            assert grads.shapes() == params.shapes()
+            assert param_layout(grads) == param_layout(params)
             np.testing.assert_allclose(grads.flat, want, rtol=0.0, atol=1e-12)
             for key in parts:
                 assert parts[key] == pytest.approx(want_parts[key], rel=1e-12)
@@ -240,7 +240,7 @@ class TestFlatLayout:
                 assert start == offset, name
                 offset += value.size
             assert offset == buffer.flat.size
-        assert grads.shapes() == params.shapes()
+        assert param_layout(grads) == param_layout(params)
 
     def test_lstm_weights_are_stacked_by_direction(self):
         config = tiny_config()

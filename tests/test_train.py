@@ -5,7 +5,7 @@ import pytest
 
 from distparse import model, pcfg, train as training
 from distparse.binarize import EMPTY_LABEL, LabelError, binarize, debinarize
-from distparse.codec import ENGINES, decode, encode
+from distparse.codec import decode, encode
 from distparse.scoring import score
 from distparse.train import (
     Adam,
@@ -20,6 +20,8 @@ from distparse.train import (
     train,
 )
 from distparse.trees import Leaf, NaryTree, leaves
+
+from helpers import param_layout
 
 
 def words_of(tree):
@@ -232,7 +234,6 @@ class TestTraining:
             {"epochs": 0},
             {"epochs": -1},
             {"distance_loss": "hinge"},
-            {"decode_engine": "warp"},
         ],
     )
     def test_config_rejects_values_training_cannot_use(self, bad):
@@ -411,14 +412,12 @@ class TestPrediction:
             labels = list(tup.split_labels)
             assert labels.pop(int(np.argmax(tup.distances))) == label
             assert set(labels) == {EMPTY_LABEL}
-        for engine in ENGINES:
-            trees = predict_trees(params, config, vocab, sentences, engine)
-            for tree, label in zip(trees, expected):
-                chain = [tree.label]
-                while len(tree.children) == 1:
-                    tree = tree.children[0]
-                    chain.append(tree.label)
-                assert "+".join(chain) == label, engine
+        for tree, label in zip(predict_trees(params, config, vocab, sentences), expected):
+            chain = [tree.label]
+            while len(tree.children) == 1:
+                tree = tree.children[0]
+                chain.append(tree.label)
+            assert "+".join(chain) == label
 
     def test_predict_trees_keeps_input_order(self):
         train_tuples, dev_tuples = small_corpus(60, 40)
@@ -435,22 +434,19 @@ class TestPrediction:
     def test_predict_trees_matches_predict_tree(self):
         train_tuples, dev_tuples = small_corpus(60, 40)
         result = train(train_tuples, [], small_config(epochs=1))
-        for engine in ("stack", "rmq", "scan"):
-            batched = predict_trees(
-                result.params,
-                result.model_config,
-                result.vocab,
-                [(t.words, t.tags) for t in dev_tuples],
-                engine,
-            )
-            single = [
-                predict_trees(
-                    result.params, result.model_config, result.vocab,
-                    [(t.words, t.tags)], engine,
-                )[0]
-                for t in dev_tuples
-            ]
-            assert batched == single
+        batched = predict_trees(
+            result.params,
+            result.model_config,
+            result.vocab,
+            [(t.words, t.tags) for t in dev_tuples],
+        )
+        single = [
+            predict_trees(
+                result.params, result.model_config, result.vocab, [(t.words, t.tags)]
+            )[0]
+            for t in dev_tuples
+        ]
+        assert batched == single
 
     def test_no_sentences_give_no_trees(self):
         train_tuples, _ = small_corpus(30, 0)
@@ -634,7 +630,7 @@ class TestCheckpoint:
                     )
             assert f"{prefix}_Wx" not in stored
         loaded = load_checkpoint(path)
-        assert loaded.params.shapes() == result.params.shapes()
+        assert param_layout(loaded.params) == param_layout(result.params)
         np.testing.assert_array_equal(loaded.params.flat, result.params.flat)
         for value in loaded.params.values():
             assert np.shares_memory(value, loaded.params.flat)
