@@ -71,7 +71,8 @@ def run(
     interleave: bool = False,
     warmup: bool = True,
 ) -> list[BenchRow]:
-    """Time every (size, engine) pair on the given shape.
+    """Time every (size, engine) pair on the given shape; a size or engine
+    named twice, which would pool two pairs' timings, raises ``ValueError``.
 
     With ``check_agreement`` the engines' trees are verified identical on
     each input before timing. ``interleave`` cycles through all pairs on
@@ -84,6 +85,10 @@ def run(
     for size in sizes:
         if size < 2:
             raise ValueError("benchmark sizes must be >= 2")
+    for kind, values in (("sizes", sizes), ("engines", engines)):
+        for at, value in enumerate(values):
+            if value in values[:at]:
+                raise ValueError(f"benchmark {kind} name {value!r} more than once")
     tuples = {size: make_tuple(make_distances(shape, size, seed)) for size in sizes}
     if check_agreement:
         for size, tup in tuples.items():

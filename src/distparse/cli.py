@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, bench, codec, model, scoring, train as training
 from .binarize import LabelError
 from .codec import encode_tree
-from .trees import Tree, TreebankError, leaves, read_treebank, serialize_bracketed
+from .trees import TreebankError, read_sentences, read_treebank, serialize_bracketed
 
 
 class CliError(Exception):
@@ -98,14 +98,14 @@ def _write_counted_sidecar(args, command: str, trees: int, skipped: int) -> None
         print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
 
 
-def _load_sentences(path: str, then=None) -> tuple[list, int]:
-    """treebank file -> (each tree read, preprocessed by
-    :func:`~distparse.trees.read_treebank`, or ``then`` of it; count of
-    trees preprocessing emptied, which are dropped). A label ``then``
-    rejects fails as ``<path>: tree N: …``, counting every tree read
-    from 1."""
+def _load_sentences(path: str, then=None, read=read_treebank) -> tuple[list, int]:
+    """treebank file -> (what ``read`` gives of each tree, by default the
+    tree preprocessed by :func:`~distparse.trees.read_treebank`, or
+    ``then`` of that; count of trees preprocessing emptied, which ``read``
+    gives as ``None`` and are dropped). A label ``then`` rejects fails as
+    ``<path>: tree N: …``, counting every tree read from 1."""
     try:
-        trees = read_treebank(_read_text(path))
+        trees = read(_read_text(path))
     except TreebankError as exc:
         raise CliError("parse", f"{path}: {exc}")
     kept = []
@@ -116,11 +116,6 @@ def _load_sentences(path: str, then=None) -> tuple[list, int]:
             except LabelError as exc:
                 raise ValueError(f"{path}: tree {number}: {exc}")
     return kept, len(trees) - len(kept)
-
-
-def _words_and_tags(tree: Tree) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    found = leaves(tree)
-    return tuple([leaf.word for leaf in found]), tuple([leaf.tag for leaf in found])
 
 
 def cmd_encode(args) -> int:
@@ -252,7 +247,7 @@ def cmd_predict(args) -> int:
         result = training.load_checkpoint(args.model)
     except (OSError, ValueError) as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
-    sentences, skipped = _load_sentences(args.input, _words_and_tags)
+    sentences, skipped = _load_sentences(args.input, read=read_sentences)
     predicted = training.predict_trees(
         result.params, result.model_config, result.vocab, sentences
     )

@@ -1,7 +1,9 @@
-"""Training loop, vocabularies, prediction, and checkpoint IO."""
+"""Training loop, vocabularies, prediction, and checkpoint IO (version 2:
+JSON with the flat parameter vector as one base64 string)."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -444,25 +446,8 @@ def predict_trees(
 
 
 CHECKPOINT_FORMAT = "distparse.checkpoint"
-_DIRECTIONS = ("fwd", "bwd")
-
-
-def _checkpoint_arrays(params: dict) -> dict:
-    """The arrays under their checkpoint names: each direction-stacked LSTM
-    array ``<lstm>_<kind>`` splits into ``<lstm>_fwd_<kind>`` and
-    ``<lstm>_bwd_<kind>``. The values are views into ``params``; given
-    shapes (:func:`~distparse.model.param_shapes`) instead of arrays, the
-    values are the checkpoint arrays' shapes."""
-    arrays = {}
-    for name, value in params.items():
-        if name.startswith("lstm_"):
-            prefix, _, kind = name.rpartition("_")
-            halves = (value[1:],) * 2 if isinstance(value, tuple) else value
-            for direction, half in zip(_DIRECTIONS, halves):
-                arrays[f"{prefix}_{direction}_{kind}"] = half
-        else:
-            arrays[name] = value
-    return arrays
+CHECKPOINT_VERSION = 2
+_PARAM_DTYPE = np.dtype("<f8")  # the stored parameters: little-endian float64s
 
 
 def save_checkpoint(
@@ -470,15 +455,16 @@ def save_checkpoint(
     result: TrainResult,
     metadata: dict | None = None,
 ) -> None:
-    """Write a self-describing JSON checkpoint (dimensions, vocabularies,
-    and every parameter array keyed by name, one per LSTM direction)."""
-    arrays = _checkpoint_arrays(result.params)
+    """Write a self-describing JSON checkpoint: dimensions, vocabularies,
+    and ``params``, the flat parameter vector (arrays in
+    :func:`~distparse.model.param_shapes` order) as one base64 string."""
+    flat = result.params.flat.astype(_PARAM_DTYPE, copy=False)
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "model": asdict(result.model_config),
         "vocab": {f.name: getattr(result.vocab, f.name) for f in fields(Vocabulary)},
-        "params": {name: arrays[name].tolist() for name in sorted(arrays)},
+        "params": base64.b64encode(flat.tobytes()).decode("ascii"),
         "metadata": metadata or {},
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -489,9 +475,11 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> TrainResult:
     """Read a :func:`save_checkpoint` file; any fault raises a one-line
-    ``ValueError``. All eight ``model`` fields are required; ``ModelConfig``
-    and :class:`Vocabulary` check their own values, their errors prefixed
-    ``model.`` and ``vocab.``. Every stored array's shape is checked before
+    ``ValueError``. Only version 2 is read. All eight ``model`` fields are
+    required; ``ModelConfig`` and :class:`Vocabulary` check their own
+    values, their errors prefixed ``model.`` and ``vocab.``. The
+    ``params`` buffer must be strict base64 of exactly the model's
+    parameter count of float64s, all finite; the count is checked before
     anything is sized from ``model``, so a huge dimension is a mismatch."""
     with open(path, encoding="utf-8") as handle:
         try:
@@ -500,11 +488,19 @@ def load_checkpoint(path) -> TrainResult:
             raise ValueError("JSON nests too deeply to read") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a recognized checkpoint file")
-    for section in ("model", "vocab", "params"):
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        found = f"version {version}" if type(version) is int else "no integer version"
+        raise ValueError(
+            f"only checkpoint version {CHECKPOINT_VERSION} is read, and this file "
+            f"has {found}: retrain the model"
+        )
+    for section, kind in (("model", dict), ("vocab", dict), ("params", str)):
         if section not in payload:
             raise ValueError(f"no '{section}' section")
-        if not isinstance(payload[section], dict):
-            raise ValueError(f"{section} must be a JSON object")
+        if not isinstance(payload[section], kind):
+            wording = "a JSON object" if kind is dict else "a base64 string"
+            raise ValueError(f"{section} must be {wording}")
     model_fields = [f.name for f in fields(model.ModelConfig)]
     for name in payload["model"]:
         if name not in model_fields:
@@ -531,26 +527,20 @@ def load_checkpoint(path) -> TrainResult:
     except ValueError as exc:  # LabelError included, and kept
         raise type(exc)(f"vocab.{exc}") from None
     layout = model.param_shapes(model_config)
-    shapes = _checkpoint_arrays(layout)
-    if set(payload["params"]) != set(shapes):
-        raise ValueError("checkpoint parameter names do not match the model")
-    stored = {}
-    for name in sorted(shapes):
-        try:
-            values = np.asarray(payload["params"][name])
-        except ValueError:  # nested lists of uneven lengths
-            values = None
-        if values is None or values.dtype.kind not in "iuf":
-            raise ValueError(f"parameter {name} must hold only numbers")
-        if values.shape != shapes[name]:
-            raise ValueError(
-                f"parameter {name} has shape {values.shape}, "
-                f"the model needs {shapes[name]}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError(f"parameter {name} holds non-finite values")
-        stored[name] = values
+    count = sum(math.prod(shape) for shape in layout.values())
+    try:
+        stored = base64.b64decode(payload["params"], validate=True)
+    except ValueError:  # binascii.Error included
+        raise ValueError("params is not valid base64") from None
+    needed = count * _PARAM_DTYPE.itemsize
+    if len(stored) != needed:
+        raise ValueError(
+            f"params holds {len(stored)} bytes; "
+            f"the model's {count} parameters need {needed}"
+        )
+    values = np.frombuffer(stored, dtype=_PARAM_DTYPE)
+    if not np.isfinite(values).all():
+        raise ValueError("params holds non-finite values")
     params = model.FlatParams(layout)
-    for name, slot in _checkpoint_arrays(params).items():
-        slot[...] = stored[name]
+    params.flat[...] = values
     return TrainResult(params=params, model_config=model_config, vocab=vocab)

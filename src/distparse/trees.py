@@ -4,13 +4,14 @@ Trees are n-ary. Preterminals are represented directly as :class:`Leaf`
 objects carrying the word and its POS tag, so ``(VB go)`` is a leaf and
 ``(VP (VB go))`` is an internal node with a single leaf child.
 
-One reader loop builds the trees as written (:func:`parse_bracketed`) or
-straight away as :func:`preprocess` cleans them (:func:`read_treebank`,
-which the commands read), one copy per tree. A read keeps one string per
-distinct word, tag and label token, however often the text repeats it:
-the trees it returns all refer to that string (a label that preprocessing
-cuts, ``NP-SBJ`` to ``NP``, is a new one), while each leaf and node stays
-its own object. The tables that find the strings live only for the read.
+One reader loop builds the trees as written (:func:`parse_bracketed`), or
+as :func:`preprocess` cleans them (:func:`read_treebank`, one copy per
+tree), or only their words and tags (:func:`read_sentences`, which
+``predict`` reads). A read keeps one string per distinct word, tag and
+label token, however often the text repeats it: the trees it returns all
+refer to that string (a label that preprocessing cuts, ``NP-SBJ`` to
+``NP``, is a new one), while each leaf and node stays its own object. The
+tables that find the strings live only for the read.
 """
 
 from __future__ import annotations
@@ -89,6 +90,33 @@ def read_treebank(text: str) -> list[Tree | None]:
     raw trees, ``None`` where preprocessing empties a tree. The errors are
     :func:`parse_bracketed`'s, counting children as written."""
     return _read(text, _clean_leaf, _clean_node)
+
+
+def read_sentences(text: str) -> list[tuple[tuple[str, ...], tuple[str, ...]] | None]:
+    """The ``(words, tags)`` of each tree :func:`read_treebank` reads, its
+    non-``-NONE-`` leaves in text order, without building the trees;
+    ``None`` where preprocessing empties a tree. The errors are
+    :func:`read_treebank`'s."""
+    words: list[str] = []
+    tags: list[str] = []
+
+    def leaf(word: str, tag: str) -> int | None:
+        if tag == NONE_TAG:
+            return None
+        words.append(word)
+        tags.append(tag)
+        return len(words) - 1
+
+    # a node, and so a tree, reads as the index of its first kept leaf, or
+    # None; a kept tree's leaves end where the next kept tree's start
+    starts = _read(text, leaf, lambda label, kept: kept[0] if kept else None)
+    sentences: list = [None] * len(starts)
+    end = len(words)
+    for number in reversed(range(len(starts))):
+        if (start := starts[number]) is not None:
+            sentences[number] = (tuple(words[start:end]), tuple(tags[start:end]))
+            end = start
+    return sentences
 
 
 def _read(text: str, leaf, node) -> list:

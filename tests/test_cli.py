@@ -1,3 +1,4 @@
+import base64
 import csv
 import gc
 import json
@@ -861,16 +862,6 @@ class TestTrainPredictScore:
         bogus.write_text(payload)
         self._assert_checkpoint_error(capsys, mini_treebank, bogus, tmp_path)
 
-    def _broken_checkpoint(self, tmp_path, mini_treebank, damage):
-        ckpt = tmp_path / "model.json"
-        assert main(
-            ["train", "--train", str(mini_treebank), "--epochs", "1", "--out", str(ckpt)]
-        ) == 0
-        payload = json.loads(ckpt.read_text())
-        damage(payload["params"])
-        ckpt.write_text(json.dumps(payload))
-        return ckpt
-
     def _assert_checkpoint_error(self, capsys, mini_treebank, ckpt, tmp_path, message=None):
         capsys.readouterr()
         out = tmp_path / "pred.mrg"
@@ -889,29 +880,41 @@ class TestTrainPredictScore:
         [
             (lambda p: p.update(vocab="x"), "vocab must be a JSON object"),
             (lambda p: p.update(model=[]), "model must be a JSON object"),
-            (lambda p: p.update(params=3), "params must be a JSON object"),
+            (lambda p: p.update(params=3), "params must be a base64 string"),
             (lambda p: p.pop("model"), "no 'model' section"),
             (lambda p: p["model"].update(word_vocab="x"), "model.word_vocab must be an integer"),
             (lambda p: p["model"].update(extra=1), "model.extra is not a model field"),
-            (lambda p: p["params"].update(conv_b="abc"), "parameter conv_b must hold only numbers"),
+            (lambda p: p.update(params="*" + p["params"][1:]), "params is not valid base64"),
             (lambda p: p["model"].update(embed_dim=-1), "model.embed_dim must be positive"),
             (lambda p: p["model"].update(hidden_dim=True), "model.hidden_dim must be an integer"),
             (lambda p: p["model"].pop("ff_hidden"), "model.ff_hidden is missing"),
-            # a huge dimension is a shape mismatch, found before anything is
-            # allocated from it (the small model has 4 units everywhere)
+            # a huge dimension is a length mismatch, found before anything is
+            # allocated from it (the small model holds 1235 parameters)
             (
                 lambda p: p["model"].update(ff_hidden=10**12),
-                "parameter dist_head_W1 has shape (8, 4), "
-                "the model needs (8, 1000000000000)",
+                "params holds 9880 bytes; "
+                "the model's 38000000001083 parameters need 304000000008664",
             ),
             (
                 lambda p: p["model"].update(hidden_dim=10**9),
-                "parameter conv_W has shape (16, 4), the model needs (4000000000, 4)",
+                "params holds 9880 bytes; the model's 16000000152000000371 "
+                "parameters need 128000001216000002968",
+            ),
+            (
+                lambda p: p.pop("version"),
+                "only checkpoint version 2 is read, and this file has no integer "
+                "version: retrain the model",
+            ),
+            (
+                lambda p: p.update(version="2"),
+                "only checkpoint version 2 is read, and this file has no integer "
+                "version: retrain the model",
             ),
         ],
         ids=[
-            "vocab", "model", "params", "no-model", "word_vocab", "extra", "conv_b",
+            "vocab", "model", "params", "no-model", "word_vocab", "extra", "non-base64",
             "embed_dim", "hidden_dim", "no-ff_hidden", "huge-ff_hidden", "huge-hidden_dim",
+            "no-version", "string-version",
         ],
     )
     def test_checkpoint_section_of_the_wrong_kind_is_named(
@@ -928,29 +931,87 @@ class TestTrainPredictScore:
         self, tmp_path, mini_treebank, capsys, small_checkpoint, section
     ):
         payload = json.loads(small_checkpoint.read_text())
-        payload[section]["deep"] = DEEP
+        if section == "params":  # one string: the whole buffer goes
+            payload[section] = DEEP
+        else:
+            payload[section]["deep"] = DEEP
         ckpt = tmp_path / "model.json"
         ckpt.write_text(dumps_edited(payload))
         self._assert_checkpoint_error(
             capsys, mini_treebank, ckpt, tmp_path, "JSON nests too deeply to read"
         )
 
-    def test_truncated_embedding_checkpoint_fails_cleanly(
-        self, tmp_path, mini_treebank, capsys
+    def _edited_checkpoint(self, tmp_path, small_checkpoint, edit):
+        """A copy of the small checkpoint with ``edit(payload)`` applied."""
+        payload = json.loads(small_checkpoint.read_text())
+        edit(payload)
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload))
+        return ckpt
+
+    @staticmethod
+    def _with_buffer(payload, edit):
+        """``payload`` with its params buffer replaced by ``edit`` of it."""
+        stored = base64.b64decode(payload["params"])
+        payload["params"] = base64.b64encode(edit(stored)).decode("ascii")
+
+    @pytest.mark.parametrize(
+        "edit, size",
+        [
+            (lambda stored: stored[: len(stored) // 2], 4940),  # a cut buffer
+            (lambda stored: stored[:-1], 9879),  # a part of a float cut off
+            (lambda stored: stored + bytes(8), 9888),  # one float too many
+        ],
+        ids=["cut-in-half", "cut-byte", "extra-float"],
+    )
+    def test_params_buffer_of_the_wrong_length_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, edit, size
     ):
-        def cut(params):
-            params["embed_word"] = params["embed_word"][:3]
+        ckpt = self._edited_checkpoint(
+            tmp_path, small_checkpoint, lambda p: self._with_buffer(p, edit)
+        )
+        message = f"params holds {size} bytes; the model's 1235 parameters need 9880"
+        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path, message)
 
-        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, cut)
-        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
+    def test_truncated_params_string_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint
+    ):
+        # a cut that leaves a part of a base64 quad is not base64
+        def cut(payload):
+            payload["params"] = payload["params"][:-3]
 
-    def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, mini_treebank, capsys):
-        def poison(params):
-            params["lstm_word_fwd_Wh"][0][0] = float("nan")
+        ckpt = self._edited_checkpoint(tmp_path, small_checkpoint, cut)
+        self._assert_checkpoint_error(
+            capsys, mini_treebank, ckpt, tmp_path, "params is not valid base64"
+        )
 
-        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, poison)
-        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_checkpoint_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint, value
+    ):
+        def poison(stored):
+            values = np.frombuffer(stored, "<f8").copy()
+            values[len(values) // 2] = value
+            return values.tobytes()
 
+        ckpt = self._edited_checkpoint(
+            tmp_path, small_checkpoint, lambda p: self._with_buffer(p, poison)
+        )
+        self._assert_checkpoint_error(
+            capsys, mini_treebank, ckpt, tmp_path, "params holds non-finite values"
+        )
+
+    def test_version_1_checkpoint_is_not_read(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint
+    ):
+        ckpt = self._edited_checkpoint(
+            tmp_path, small_checkpoint, lambda p: p.update(version=1)
+        )
+        message = (
+            "only checkpoint version 2 is read, and this file has version 1: "
+            "retrain the model"
+        )
+        self._assert_checkpoint_error(capsys, mini_treebank, ckpt, tmp_path, message)
 
     @pytest.mark.parametrize("field", ["word_labels", "split_labels"])
     def test_checkpoint_label_decode_would_reject_fails_cleanly(
@@ -1113,14 +1174,16 @@ class TestTrainPredictScore:
         assert "Traceback" not in err
         assert not ckpt.exists() and not metrics.exists()
 
-    def test_overflowing_model_output_fails_cleanly(self, tmp_path, mini_treebank, capsys):
-        def overflow(params):
-            # every hidden unit saturates at 1 and the score head sums 1e308s
-            params["dist_head_W1"] = [[0.0] * len(row) for row in params["dist_head_W1"]]
-            params["dist_head_b1"] = [1e3] * len(params["dist_head_b1"])
-            params["dist_head_W2"] = [[1e308] for _ in params["dist_head_W2"]]
-
-        ckpt = self._broken_checkpoint(tmp_path, mini_treebank, overflow)
+    def test_overflowing_model_output_fails_cleanly(
+        self, tmp_path, mini_treebank, capsys, small_checkpoint
+    ):
+        result = training.load_checkpoint(small_checkpoint)
+        # every hidden unit saturates at 1 and the score head sums 1e308s
+        result.params["dist_head_W1"][...] = 0.0
+        result.params["dist_head_b1"][...] = 1e3
+        result.params["dist_head_W2"][...] = 1e308
+        ckpt = tmp_path / "model.json"
+        training.save_checkpoint(ckpt, result)
         capsys.readouterr()
         out = tmp_path / "pred.mrg"
         argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
@@ -1190,6 +1253,25 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: bench: engine rmq disagrees with stack at size 8\n"
         )
+
+    @pytest.mark.parametrize(
+        "sizes, engines, message",
+        [
+            ("8,16", "rmq,rmq", "benchmark engines name 'rmq' more than once"),
+            ("8,16,8", "stack", "benchmark sizes name 8 more than once"),
+            ("8,08", "stack", "benchmark sizes name 8 more than once"),
+        ],
+        ids=["engine", "size", "size-spelled-twice"],
+    )
+    def test_repeated_engine_or_size_rejected(
+        self, tmp_path, capsys, sizes, engines, message
+    ):
+        # a repeat would write its row twice, each copy pooling both timings
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", sizes, "--engines", engines, "--reps", "2"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: bench: {message}\n"
+        assert not out.exists()
 
     def test_too_small_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "1"]) == 1

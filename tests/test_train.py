@@ -1,4 +1,6 @@
+import base64
 import json
+import math
 
 import numpy as np
 import pytest
@@ -613,22 +615,24 @@ class TestCheckpoint:
         b = predict_trees(loaded.params, loaded.model_config, loaded.vocab, sentence)[0]
         assert a == b
 
-    def test_keeps_per_direction_names_and_packs_the_flat_layout(self, tmp_path):
+    def test_stores_the_flat_buffer_in_layout_order(self, tmp_path):
         train_tuples, dev_tuples = small_corpus(60, 10)
         result = train(train_tuples, dev_tuples, small_config(epochs=1))
         path = tmp_path / "model.json"
         save_checkpoint(path, result)
-        stored = json.loads(path.read_text())["params"]
-        assert len(stored) == 28
-        assert list(stored) == sorted(stored)
-        for prefix in ("lstm_word", "lstm_split"):
-            for k, direction in enumerate(("fwd", "bwd")):
-                for kind in ("Wx", "Wh", "b"):
-                    np.testing.assert_array_equal(
-                        stored[f"{prefix}_{direction}_{kind}"],
-                        result.params[f"{prefix}_{kind}"][k],
-                    )
-            assert f"{prefix}_Wx" not in stored
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        stored = np.frombuffer(base64.b64decode(payload["params"], validate=True), "<f8")
+        np.testing.assert_array_equal(stored, result.params.flat)
+        # the arrays tile the buffer in param_shapes order
+        offset = 0
+        for name, shape in model.param_shapes(result.model_config).items():
+            size = math.prod(shape)
+            np.testing.assert_array_equal(
+                stored[offset : offset + size].reshape(shape), result.params[name]
+            )
+            offset += size
+        assert offset == stored.size
         loaded = load_checkpoint(path)
         assert param_layout(loaded.params) == param_layout(result.params)
         np.testing.assert_array_equal(loaded.params.flat, result.params.flat)

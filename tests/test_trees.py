@@ -1,4 +1,5 @@
 import re
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from distparse.trees import (
     leaves,
     parse_bracketed,
     preprocess,
+    read_sentences,
     read_treebank,
     serialize_bracketed,
     strip_function_tag,
@@ -378,3 +380,118 @@ class TestSharedStrings:
         first.children[0].word = "a"
         assert first == NaryTree("X", [Leaf("a", "DT"), Leaf("the", "DT")])
         assert second == NaryTree("NP", [Leaf("the", "DT"), Leaf("dog", "NN")])
+
+
+def sentence_outcome(read, text):
+    """What ``read`` gives of ``text``, or the error's message and offset."""
+    try:
+        return read(text)
+    except TreebankError as exc:
+        return "error", str(exc), exc.offset
+
+
+def read_treebank_sentences(text):
+    """The ``(words, tags)`` of each tree ``read_treebank`` reads, ``None``
+    for one preprocessing empties."""
+    return [
+        None
+        if tree is None
+        else (
+            tuple(leaf.word for leaf in leaves(tree)),
+            tuple(leaf.tag for leaf in leaves(tree)),
+        )
+        for tree in read_treebank(text)
+    ]
+
+
+def right_comb_text(depth):
+    """A right comb ``depth`` nodes deep: each node holds a word, a subtree
+    preprocessing drops and the next node, with a function tag on some."""
+    nodes = [f"(S-{i % 3} (NN w{i}) (NP (-NONE- *)) " for i in range(depth)]
+    return "".join(nodes) + "(NN last)" + ")" * depth
+
+
+def wide_text(width):
+    """One node with ``width`` words and a trace after every tenth."""
+    items = [f"(NN w{i})" + (" (-NONE- *T*)" if i % 10 == 0 else "") for i in range(width)]
+    return "( (S " + " ".join(items) + ") )"
+
+
+# every text TestReadTreebank reads, trees that are one leaf, and the texts
+# of the shared-string tests
+READ_TREEBANK_TEXTS = [
+    pytest.param(SAMPLE.read_text(encoding="utf-8"), id="sample"),
+    pytest.param("( (NP (-NONE- *)) )\n(S (NN a))", id="wrapped-traces-only"),
+    pytest.param(
+        "(-NONE- *)\n(NN a)\n(S (NP (-NONE- *)) (VP (VB go) (-NONE- *)))",
+        id="leaf-trees-and-traces",
+    ),
+    pytest.param("( (NP (-NONE- *)) (VP (VB go)) )", id="dropped-child-counts"),
+    pytest.param("( (-NONE- *) word)", id="token-after-dropped-child"),
+    pytest.param("(S (-NONE- *) a b)", id="tokens-beside-dropped-child"),
+    *(pytest.param(text, id=name) for name, text in SPELLINGS.items()),
+]
+
+
+class TestReadSentences:
+    """``read_sentences`` reads each tree's words and tags without building
+    it: they must be the leaves of the tree ``read_treebank`` builds, and
+    it must fail as ``read_treebank`` fails."""
+
+    @pytest.mark.parametrize("text", READ_TREEBANK_TEXTS)
+    def test_equals_the_leaves_of_read_treebank(self, text):
+        assert sentence_outcome(read_sentences, text) == sentence_outcome(
+            read_treebank_sentences, text
+        )
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [pytest.param(text, *error, id=text) for text, error in MALFORMED_TREEBANKS.items()],
+    )
+    def test_malformed_input_raises_as_read_treebank(self, text, message, offset):
+        expected = ("error", f"{message} (at offset {offset})", offset)
+        assert sentence_outcome(read_sentences, text) == expected
+        assert sentence_outcome(read_treebank, text) == expected
+
+    def test_seeded_mutations_match_read_treebank(self):
+        rng = np.random.default_rng(1010)
+        errors = emptied = 0
+        for _ in range(2000):
+            text = mutated_text(rng)
+            got = sentence_outcome(read_sentences, text)
+            assert got == sentence_outcome(read_treebank_sentences, text), text
+            errors += got[0] == "error"
+            emptied += got[0] != "error" and None in got
+        assert 300 < errors < 2000 and emptied > 100
+
+    def test_emptied_trees_are_none_and_their_neighbours_keep_their_words(self):
+        text = "(S (NN a) (NN b))\n(NP (-NONE- *))\n( (-NONE- *T*) )\n(S (-NONE- *) (NN c))"
+        assert read_sentences(text) == [
+            (("a", "b"), ("NN", "NN")),
+            None,
+            None,
+            (("c",), ("NN",)),
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(right_comb_text(5000), id="5000-deep-right-comb"),
+            pytest.param(wide_text(40_000), id="40k-wide"),
+        ],
+    )
+    def test_deep_and_wide_trees_read_in_linear_time(self, text):
+        expected = read_treebank_sentences(text)
+        assert read_sentences(text) == expected
+        # a reader that joined each node's child lists would copy each leaf
+        # once per node above it: over twice read_treebank's time on the
+        # comb, and far more on the wide tree. The minimum of interleaved
+        # runs shrugs off a busy host
+        sentences, trees = [], []
+        for _ in range(5):
+            for read, times in ((read_sentences, sentences), (read_treebank, trees)):
+                start = time.perf_counter()
+                read(text)
+                times.append(time.perf_counter() - start)
+        assert min(sentences) < 1.0, f"read_sentences took {min(sentences):.2f} s"
+        assert min(sentences) < 1.5 * min(trees), (min(sentences), min(trees))
