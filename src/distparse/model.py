@@ -22,25 +22,17 @@ Each BiLSTM's weights are stored stacked by direction, forward first:
 ``lstm_word_b`` (2, 4h), and likewise for ``lstm_split``.
 
 There is one implementation, over a padded batch. :func:`forward_batch`
-stacks B sentences into (B, T, ·) arrays, T the longest length, each
-sentence left-aligned and padded with token id 0. The backward direction of
-each BiLSTM reads every sentence reversed within its own length (a gather
-with a per-length reversal index), so in both directions the padded steps
-come after all real steps: the recurrences need no mask, and the padded
-outputs are sliced away. Both directions advance in one loop, stacked on a
-leading axis, and each step computes the whole 4h gate vector with one
-tanh, using sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The conv and the three
-heads run on the whole batch, and the batch comes back as one
-:class:`ForwardResult` of padded arrays with the sentence lengths, which
-the caller reads row by row up to each length. A batch run with
-``keep_activations`` also keeps every step's activated gates and tanh(c),
-and :func:`backward` takes any such batch; other batches keep only one
-step's scratch. :func:`batch_loss` is one training step's forward, losses
-and backward over a batch, with each sentence's losses computed on its
-own row; :func:`sentence_loss` is its one-sentence case, and
-:func:`forward` the one-sentence batch viewed without its batch axis.
-Training and prediction both run length-sorted batches
-(``train.length_batches``), so that little padding is computed.
+stacks B sentences, each left-aligned and padded with token id 0, into
+(B, T, ·) arrays, T the longest length, and returns one
+:class:`ForwardResult` of padded outputs with the lengths; the BiLSTMs
+need no mask (:func:`_bilstm_forward`). A batch run with
+``keep_activations`` keeps what :func:`backward` reads. :func:`batch_loss`
+is one training step: the forward pass, one call of each
+:mod:`~distparse.losses` function over the padded batch and the lengths,
+and the backward pass; :func:`sentence_loss` is its one-sentence case, and
+:func:`forward` the one-sentence batch without its batch axis. Training
+and prediction run length-sorted batches (``train.length_batches``) to
+keep padding small.
 """
 
 from __future__ import annotations
@@ -468,10 +460,10 @@ def backward(
     (or :func:`forward` ran), in a fresh buffer with the layout of
     ``params``.
 
-    The output gradients have the shapes of the result's outputs, padded
-    (B, S), (B, T, ·) and (B, S, ·) or, for :func:`forward`, without the
-    batch axis; they must be 0 at padded positions. Probability gradients
-    are chained through the softmax here.
+    The output gradients are float arrays shaped like the result's outputs,
+    padded (B, S), (B, T, ·) and (B, S, ·) or, for :func:`forward`, without
+    the batch axis; they must be 0 at padded positions. Probability
+    gradients are chained through the softmax here.
     """
     cache = result.cache
     if cache["word_cache"] is None:
@@ -484,15 +476,13 @@ def backward(
     split_rows, word_rows = batch * splits, batch * steps
 
     d_split_logits = _softmax_backward(
-        np.asarray(d_split_probs, dtype=np.float64).reshape(
-            split_rows, config.split_label_vocab
-        ),
+        d_split_probs.reshape(split_rows, config.split_label_vocab),
         result.split_probs.reshape(split_rows, config.split_label_vocab),
     )
     d_h_split = _ff_backward(
         d_split_logits, cache["split_head_cache"], params, "split_head", grads
     )
-    d_dist_out = np.asarray(d_distances, dtype=np.float64).reshape(split_rows, 1)
+    d_dist_out = d_distances.reshape(split_rows, 1)
     d_h_split += _ff_backward(
         d_dist_out, cache["dist_head_cache"], params, "dist_head", grads
     )
@@ -513,9 +503,7 @@ def backward(
     d_h_word[:, :-1] += d_pairs[..., :hidden2]
     d_h_word[:, 1:] += d_pairs[..., hidden2:]
     d_word_logits = _softmax_backward(
-        np.asarray(d_word_probs, dtype=np.float64).reshape(
-            word_rows, config.word_label_vocab
-        ),
+        d_word_probs.reshape(word_rows, config.word_label_vocab),
         result.word_probs.reshape(word_rows, config.word_label_vocab),
     )
     d_h_word += _ff_backward(
@@ -536,6 +524,17 @@ def backward(
 LOSS_KINDS = ("rank", "mse")
 
 
+def _padded_loss(loss, golds, out: np.ndarray, lengths: np.ndarray):
+    """``loss`` on ``out`` and its gold rows, zero-padded alike; a gold row of
+    the wrong length goes to the unbatched ``loss``, whose check raises."""
+    sizes, wanted = [len(gold) for gold in golds], lengths.tolist()
+    if sizes != wanted:
+        row = next(b for b, size in enumerate(sizes) if size != wanted[b])
+        loss(golds[row], out[row, : wanted[row]])
+    padded = [[*gold, *[0] * (out.shape[1] - size)] for gold, size in zip(golds, sizes)]
+    return loss(np.array(padded), out, lengths)
+
+
 def batch_loss(
     params: FlatParams,
     config: ModelConfig,
@@ -546,41 +545,23 @@ def batch_loss(
     parameter gradients, from one forward and one backward pass.
 
     Each example is ``(word_ids, tag_ids, gold_distances, gold_word_labels,
-    gold_split_labels)``. Each sentence's losses are the per-sentence
-    :mod:`~distparse.losses` functions on its row up to its length, and
-    their gradients fill zero-padded arrays for :func:`backward`.
+    gold_split_labels)``. Each :mod:`~distparse.losses` function runs once
+    on the padded outputs, the gold values padded alike, and its gradient,
+    0 at padded positions, goes to :func:`backward` as it is.
     """
     if distance_loss not in LOSS_KINDS:
         raise ValueError(f"unknown distance loss {distance_loss!r}")
-    result = forward_batch(
-        params,
-        config,
-        [example[0] for example in examples],
-        [example[1] for example in examples],
-        keep_activations=True,
-    )
+    words, tags, gold_d, gold_w, gold_s = zip(*examples) if examples else [()] * 5
+    result = forward_batch(params, config, words, tags, keep_activations=True)
+    n = result.lengths
     loss_fn = losses.rank_loss if distance_loss == "rank" else losses.mse_loss
-    d_distances = np.zeros_like(result.distances)
-    d_word_probs = np.zeros_like(result.word_probs)
-    d_split_probs = np.zeros_like(result.split_probs)
-    sum_distance = sum_label = total = 0.0
-    for row, (_, _, gold_d, gold_w, gold_s) in enumerate(examples):
-        n = int(result.lengths[row])
-        dist_value, d_distances[row, : n - 1] = loss_fn(
-            gold_d, result.distances[row, : n - 1]
-        )
-        word_value, d_word_probs[row, :n] = losses.label_loss(
-            gold_w, result.word_probs[row, :n]
-        )
-        split_value, d_split_probs[row, : n - 1] = losses.label_loss(
-            gold_s, result.split_probs[row, : n - 1]
-        )
-        sum_distance += dist_value
-        sum_label += word_value + split_value
-        total += dist_value + word_value + split_value
-    grads = backward(params, config, result, d_distances, d_word_probs, d_split_probs)
-    parts = {"distance": sum_distance, "label": sum_label, "total": total}
-    return parts, grads
+    dist, d_dist = _padded_loss(loss_fn, gold_d, result.distances, n - 1)
+    word, d_word = _padded_loss(losses.label_loss, gold_w, result.word_probs, n)
+    split, d_split = _padded_loss(losses.label_loss, gold_s, result.split_probs, n - 1)
+    grads = backward(params, config, result, d_dist, d_word, d_split)
+    # cumsum adds the rows in order, as a running total over them would
+    sums = np.array([dist, word + split, dist + word + split]).cumsum(axis=1)[:, -1]
+    return dict(zip(("distance", "label", "total"), sums.tolist())), grads
 
 
 def sentence_loss(

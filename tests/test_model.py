@@ -219,6 +219,38 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match="empty batch"):
             model.batch_loss(params, config, [], "rank")
 
+    # (field of the example, how to break it, the message): in tiny_config
+    # the 5-word sentence has 4 splits, 4 word labels and 5 split labels
+    EXPECTED = r"^expected \({}, vocab\) distributions, got \({}\)$"
+    OUTSIDE = "^true label outside the distribution's vocabulary$"
+    MALFORMED = [
+        (2, lambda gold: gold + [1.0], r"^shape mismatch: \(5,\) vs \(4,\)$"),
+        (2, lambda gold: gold[:-1], r"^shape mismatch: \(3,\) vs \(4,\)$"),
+        (3, lambda gold: gold + [0], EXPECTED.format(6, "5, 4")),
+        (3, lambda gold: gold[:-1], EXPECTED.format(4, "5, 4")),
+        (4, lambda gold: gold + [0], EXPECTED.format(5, "4, 5")),
+        (4, lambda gold: [], EXPECTED.format(0, "4, 5")),
+        (3, lambda gold: [4] + gold[1:], OUTSIDE),
+        (3, lambda gold: gold[:-1] + [-1], OUTSIDE),
+        (4, lambda gold: gold[:2] + [5] + gold[3:], OUTSIDE),
+    ]
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("field, edit, message", MALFORMED)
+    @pytest.mark.parametrize("kind", model.LOSS_KINDS)
+    def test_malformed_example_raises_its_unbatched_message(
+        self, kind, field, edit, message, place
+    ):
+        config = tiny_config()
+        rng = np.random.default_rng(40 + place)
+        params = model.init_params(config, rng)
+        examples = [random_example(rng, config, n) for n in (3, 7)]
+        bad = list(random_example(rng, config, 5))
+        bad[field] = edit(bad[field])
+        examples.insert(place, tuple(bad))
+        with pytest.raises(ValueError, match=message):
+            model.batch_loss(params, config, examples, kind)
+
 
 class TestFlatLayout:
     def test_views_tile_the_flat_vector(self):
