@@ -3,8 +3,9 @@
 Subcommands: encode, decode, roundtrip, train, predict, score, bench.
 Every command is deterministic given its flags and seed. Run metadata
 (command, version, flags, seed) is embedded in outputs that have room for
-it (checkpoints, metrics logs, CSV comments) and written to a ``.run.json``
-sidecar next to line-oriented outputs, which stay format-clean.
+it (checkpoints, metrics logs, CSV comments). encode, decode and predict
+keep their lines format-clean: one writer puts the metadata and counts in
+a ``.run.json`` sidecar beside ``--out``. A failed command leaves no file.
 
 Exit codes: 0 on success, 1 on failure with a one-line
 ``error: <kind>: <message>`` on stderr, the kind naming the failing command
@@ -71,30 +72,29 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _run_metadata(args: argparse.Namespace, command: str) -> dict:
+def _run_metadata(args: argparse.Namespace) -> dict:
     skip = {"func", "out", "command"}
     flags = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in skip and value is not None and not callable(value)
+        if key not in skip and value is not None
     }
-    return {"command": command, "version": __version__, "flags": flags}
+    return {"command": args.command, "version": __version__, "flags": flags}
 
 
-def _write_sidecar(out: str | None, metadata: dict) -> None:
-    if out is None:
-        return
-    _write_text(out + ".run.json", json.dumps(metadata, indent=2) + "\n")
-
-
-def _write_counted_sidecar(args, command: str, trees: int, skipped: int) -> None:
-    """The sidecar with the trees kept and the trees preprocessing emptied,
-    and a warning on stderr when there are any of the latter."""
-    metadata = _run_metadata(args, command)
-    metadata["trees"] = trees
-    metadata["skipped_empty"] = skipped
-    _write_sidecar(args.out, metadata)
-    if skipped:
+def _write_output(args, text: str, **counts) -> None:
+    """``text`` to ``--out``, or stdout without it; beside a file, a
+    ``.run.json`` sidecar of the run metadata then ``counts``, checked before
+    either is written. A ``skipped_empty`` count is also a stderr warning."""
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        sidecar = args.out + ".run.json"
+        _check_writable(sidecar)
+        _write_text(args.out, text)
+        metadata = {**_run_metadata(args), **counts}
+        _write_text(sidecar, json.dumps(metadata, indent=2) + "\n")
+    if skipped := counts.get("skipped_empty"):
         print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
 
 
@@ -121,8 +121,7 @@ def _load_sentences(path: str, then=None, read=read_treebank) -> tuple[list, int
 def cmd_encode(args) -> int:
     tuples, skipped = _load_sentences(args.input, encode_tree)
     lines = "".join(codec.to_json_line(tup) + "\n" for tup in tuples)
-    _write_text(args.out, lines)
-    _write_counted_sidecar(args, "encode", len(tuples), skipped)
+    _write_output(args, lines, trees=len(tuples), skipped_empty=skipped)
     return 0
 
 
@@ -137,8 +136,7 @@ def cmd_decode(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
-    _write_text(args.out, "".join(lines))
-    _write_sidecar(args.out, _run_metadata(args, "decode"))
+    _write_output(args, "".join(lines))
     return 0
 
 
@@ -215,7 +213,7 @@ def cmd_train(args) -> int:
         if path:
             _check_writable(path)
     result = training.train(train_tuples, dev_tuples, config, log=log)
-    metadata = _run_metadata(args, "train")
+    metadata = _run_metadata(args)
     metadata["train_config"] = asdict(config)
     metadata["skipped_empty"] = {"train": skipped_train, "dev": skipped_dev}
     metadata["best_epoch"] = result.best_epoch
@@ -252,8 +250,7 @@ def cmd_predict(args) -> int:
         result.params, result.model_config, result.vocab, sentences
     )
     lines = [serialize_bracketed(tree) + "\n" for tree in predicted]
-    _write_text(args.out, "".join(lines))
-    _write_counted_sidecar(args, "predict", len(sentences), skipped)
+    _write_output(args, "".join(lines), trees=len(sentences), skipped_empty=skipped)
     return 0
 
 
@@ -281,7 +278,7 @@ def cmd_bench(args) -> int:
     rows = bench.run(
         sizes, engines, args.shape, repetitions=args.reps, seed=seed, interleave=True
     )
-    metadata = _run_metadata(args, "bench")
+    metadata = _run_metadata(args)
     metadata["seed"] = seed
     _write_text(args.out, bench.to_csv(rows, metadata=metadata))
     for engine in engines:

@@ -155,8 +155,6 @@ class SparseTable:
         self._values = [float(v) for v in values]
         n = len(self._values)
         self._levels: list[array] = []
-        if n == 0:
-            return
         scores = np.asarray(self._values, dtype=np.float64)
         level = np.arange(n, dtype=np.int32)
         self._levels.append(_compact(level))

@@ -313,8 +313,6 @@ def _ff_backward(d_out, cache, params, prefix, grads):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    if logits.shape[0] == 0:
-        return logits.copy()
     shifted = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)

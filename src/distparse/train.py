@@ -249,8 +249,6 @@ def train(
     parameters at the end of an epoch, are NaN or infinite, rather than
     carry on with broken weights.
     """
-    if not train_tuples:
-        raise ValueError("empty training corpus")
     vocab = Vocabulary.build(train_tuples)
     model_config = model.ModelConfig(
         word_vocab=len(vocab.words),

@@ -231,6 +231,19 @@ class TestEncodeDecode:
         assert err == f"error: parse: {bad}: {message} (at offset {offset})\n"
         assert not out.exists()
 
+    def test_decode_skips_blank_and_whitespace_only_lines(self, tmp_path, capsys):
+        lines = SAMPLE_JSONL.read_text(encoding="utf-8").splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + "\n  \t\n".join(lines) + "\n \n", encoding="utf-8")
+        out, expected = tmp_path / "spaced.mrg", tmp_path / "plain.mrg"
+        assert main(["decode", str(spaced), "--out", str(out)]) == 0
+        assert main(["decode", str(SAMPLE_JSONL), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        # skipped lines still count in the line number of an error
+        spaced.write_text(f"\n   \n{lines[0]}\n\t\nnot json\n", encoding="utf-8")
+        assert main(["decode", str(spaced)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: decode: {spaced}: line 5: ")
+
     def test_malformed_jsonl_names_line(self, tmp_path, capsys):
         jsonl = tmp_path / "bad.jsonl"
         jsonl.write_text('{"words": ["a"]}\n')
@@ -615,6 +628,32 @@ class TestTrainPredictScore:
         assert err == f"error: io: cannot write {metrics}: No such file or directory"
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("output", ["--out", "--metrics"])
+    def test_output_that_turns_unwritable_during_training_is_one_io_line(
+        self, tmp_path, monkeypatch, capsys, output
+    ):
+        config = tmp_path / "small.cfg"
+        config.write_text(SMALL_MODEL)
+        paths = {"--out": tmp_path / "m.json", "--metrics": tmp_path / "metrics.jsonl"}
+        train = training.train
+
+        def train_then_take_the_path(*args, **kwargs):
+            result = train(*args, **kwargs)
+            paths[output].mkdir()  # free when it was checked, a folder now
+            return result
+
+        monkeypatch.setattr(training, "train", train_then_take_the_path)
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config), "--epochs", "1"]
+        argv += [part for pair in paths.items() for part in map(str, pair)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: io: cannot write {paths[output]}: Is a directory"]
+        assert captured.err.endswith(errors[0] + "\n")
+        # the metrics fail after the checkpoint was written, which then goes
+        assert sorted(tmp_path.iterdir()) == sorted([config, paths[output]])
+
     @pytest.mark.parametrize("spelling", ["same", "dotted"])
     def test_out_and_metrics_naming_one_file_fail_before_any_reading(
         self, tmp_path, capsys, spelling
@@ -692,6 +731,22 @@ class TestTrainPredictScore:
         assert payload["metadata"]["train_config"]["epochs"] == 2  # flag wins
         assert payload["metadata"]["train_config"]["seed"] == 9
         assert payload["model"]["hidden_dim"] == 8
+
+    def test_config_file_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        config = tmp_path / "commented.cfg"
+        config.write_text(
+            "# a small model\n\n   \nembed_dim = 4  # and the rest:\n\t\n"
+            + SMALL_MODEL.split("\n", 1)[1]
+            + "  # seed = not a number\n"
+        )
+        ckpt = tmp_path / "model.json"
+        argv = ["train", "--train", str(SAMPLE), "--config", str(config)]
+        assert main(argv + ["--epochs", "1", "--out", str(ckpt)]) == 0
+        dims = ("embed_dim", "hidden_dim", "conv_channels", "ff_hidden")
+        saved = json.loads(ckpt.read_text())
+        assert [saved["model"][dim] for dim in dims] == [4, 4, 4, 4]
+        assert saved["metadata"]["train_config"]["seed"] == TrainConfig().seed
+        assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["learnign_rate", "decode_engine"])
     def test_unknown_config_key_rejected(self, tmp_path, mini_treebank, capsys, key):
@@ -1195,6 +1250,69 @@ class TestTrainPredictScore:
         assert err.startswith("error: predict: non-finite model output")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+
+def writing_argv(command: str, checkpoint) -> list[str]:
+    """``command`` on the committed sample files, with no ``--out``."""
+    return {
+        "encode": ["encode", str(SAMPLE)],
+        "decode": ["decode", str(SAMPLE_JSONL)],
+        "predict": ["predict", str(SAMPLE), "--model", str(checkpoint)],
+        "score": ["score", str(SAMPLE), str(SAMPLE)],
+    }[command]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("existing", [False, True], ids=["new out", "old out"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "predict"])
+    def test_sidecar_that_cannot_be_written_leaves_the_output_alone(
+        self, tmp_path, capsys, small_checkpoint, command, existing
+    ):
+        out = tmp_path / "x"
+        (tmp_path / "x.run.json").mkdir()
+        if existing:
+            out.write_bytes(b"earlier\n")
+        assert main(writing_argv(command, small_checkpoint) + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: io: cannot write {out}.run.json: Is a directory\n"
+        if existing:
+            assert out.read_bytes() == b"earlier\n"
+        else:
+            assert not out.exists()
+        assert list((tmp_path / "x.run.json").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["encode", "decode", "predict", "score"])
+    def test_output_that_is_a_folder_is_one_io_line(
+        self, tmp_path, capsys, small_checkpoint, command
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(writing_argv(command, small_checkpoint) + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: io: cannot write {out}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [out]  # no sidecar either
+
+    @pytest.mark.parametrize("command", ["encode", "decode", "predict"])
+    def test_without_out_nothing_is_checked_or_written_beside_stdout(
+        self, tmp_path, monkeypatch, capsys, small_checkpoint, command
+    ):
+        argv = writing_argv(command, small_checkpoint)
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+        expected = (tmp_path / "x").read_text(encoding="utf-8")
+        capsys.readouterr()
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+
+        def refuse(path):
+            raise AssertionError(f"checked {path}")
+
+        monkeypatch.setattr(cli, "_check_writable", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert list(work.iterdir()) == []
 
 
 class TestBench:

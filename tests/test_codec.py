@@ -348,6 +348,24 @@ class TestRankSignature:
             assert binary_trees_equal(decode(other), decode(tup))
 
 
+class TestBinaryTreesEqual:
+    def test_internal_labels_that_differ_deep_in_the_tree(self):
+        other = Internal(
+            "S",
+            Terminal("w0", "T0", "NP"),
+            Internal("VP", Terminal("w1", "T1"), Terminal("w2", "T2")),
+        )
+        assert not binary_trees_equal(right_branching_three(), other)
+        assert not binary_trees_equal(other, right_branching_three())
+
+    def test_terminal_against_internal_and_differing_leaves(self):
+        tree = right_branching_three()
+        leaf = Terminal("w0", "T0", "NP")
+        assert not binary_trees_equal(tree, leaf)
+        assert not binary_trees_equal(leaf, tree)
+        assert not binary_trees_equal(leaf, Terminal("w0", "T0"))
+
+
 class TestSparseTable:
     def test_examples(self):
         table = SparseTable([2.0, 1.0, 3.0])
@@ -360,6 +378,12 @@ class TestSparseTable:
         table = SparseTable([1.0, 2.0])
         for lo, hi in ((0, 0), (1, 1), (2, 1), (-1, 1), (0, 3)):
             with pytest.raises(ValueError):
+                table.argmax(lo, hi)
+
+    def test_table_over_no_values_rejects_every_query(self):
+        table = SparseTable([])
+        for lo, hi in ((0, 0), (0, 1), (-1, 0)):
+            with pytest.raises(ValueError, match="empty or out-of-range query"):
                 table.argmax(lo, hi)
 
     def test_agrees_with_linear_scan(self):

@@ -128,6 +128,21 @@ class TestBatch:
         assert result.lengths.tolist() == [1, 1, 1]
         np.testing.assert_allclose(result.word_probs.sum(axis=2), 1.0)
 
+    @pytest.mark.parametrize(
+        "word_ids, tag_ids, message",
+        [
+            ([[1, 2], [3]], [[0, 1]], "2 word sequences but 1 tag sequences"),
+            ([[1, 2], [3]], [[0, 1], [2, 0]], "1 words but 2 tags"),
+        ],
+    )
+    def test_words_and_tags_that_do_not_pair_up_rejected(
+        self, word_ids, tag_ids, message
+    ):
+        config = tiny_config()
+        params = model.init_params(config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model.forward_batch(params, config, word_ids, tag_ids)
+
     def test_empty_batch_rejected(self):
         config = tiny_config()
         params = model.init_params(config, np.random.default_rng(0))

@@ -227,8 +227,19 @@ class TestTraining:
         assert result.history[result.best_epoch - 1].dev_labeled_f1 == best
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        message = "^cannot build a vocabulary from an empty corpus$"
+        with pytest.raises(ValueError, match=message):
             train([], [], small_config())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_step_that_breaks_the_weights_after_the_last_loss_is_refused(self):
+        # one batch in the epoch, so its loss is checked before the step
+        # overflows and no later loss shows it: the parameter check must
+        train_tuples, _ = small_corpus(training.TRAIN_BATCH, 0)
+        config = small_config(epochs=1, learning_rate=1e308)
+        with pytest.raises(NonFiniteError, match="^non-finite parameters at epoch 1$"):
+            train(train_tuples, [], config)
 
     @pytest.mark.parametrize(
         "bad",
