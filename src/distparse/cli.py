@@ -3,9 +3,11 @@
 Subcommands: encode, decode, roundtrip, train, predict, score, bench.
 Every command is deterministic given its flags and seed. Run metadata
 (command, version, flags, seed) is embedded in outputs that have room for
-it (checkpoints, metrics logs, CSV comments). encode, decode and predict
-keep their lines format-clean: one writer puts the metadata and counts in
-a ``.run.json`` sidecar beside ``--out``. A failed command leaves no file.
+it (checkpoints, metrics logs, CSV comments); encode, decode and predict
+keep their lines format-clean and put it, with their counts, in a
+``.run.json`` sidecar beside ``--out``. One writer checks that every file
+of a command can be written before it writes any, so a failed command
+leaves no new file and an earlier one unchanged.
 
 Exit codes: 0 on success, 1 on failure with a one-line
 ``error: <kind>: <message>`` on stderr, the kind naming the failing command
@@ -48,17 +50,6 @@ def _read_text(path: str) -> str:
         raise CliError("io", f"cannot read {path}: invalid UTF-8 at byte {exc.start}")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CliError("io", f"cannot write {path}: {exc.strerror}")
-
-
 def _check_writable(path: str) -> None:
     """Fail now, not after the work that would fill it, if ``path`` cannot
     be written; an existing file is left as it is, a new one removed."""
@@ -70,6 +61,23 @@ def _check_writable(path: str) -> None:
         raise CliError("io", f"cannot write {path}: {exc.strerror}")
     if not existed:
         os.remove(path)
+
+
+def _write_files(files: dict) -> None:
+    """Each text to its path, ``None`` meaning stdout, in order; every path
+    is checked with :func:`_check_writable` before any is written."""
+    for path in files:
+        if path is not None:
+            _check_writable(path)
+    for path, text in files.items():
+        if path is None:
+            sys.stdout.write(text)
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError("io", f"cannot write {path}: {exc.strerror}")
 
 
 def _run_metadata(args: argparse.Namespace) -> dict:
@@ -84,16 +92,13 @@ def _run_metadata(args: argparse.Namespace) -> dict:
 
 def _write_output(args, text: str, **counts) -> None:
     """``text`` to ``--out``, or stdout without it; beside a file, a
-    ``.run.json`` sidecar of the run metadata then ``counts``, checked before
-    either is written. A ``skipped_empty`` count is also a stderr warning."""
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        sidecar = args.out + ".run.json"
-        _check_writable(sidecar)
-        _write_text(args.out, text)
+    ``.run.json`` sidecar of the run metadata then ``counts``. A
+    ``skipped_empty`` count is also a stderr warning."""
+    files = {args.out: text}
+    if args.out is not None:
         metadata = {**_run_metadata(args), **counts}
-        _write_text(sidecar, json.dumps(metadata, indent=2) + "\n")
+        files[args.out + ".run.json"] = json.dumps(metadata, indent=2) + "\n"
+    _write_files(files)
     if skipped := counts.get("skipped_empty"):
         print(f"warning: {skipped} trees empty after preprocessing", file=sys.stderr)
 
@@ -180,14 +185,16 @@ def _train_config(args) -> training.TrainConfig:
     unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise CliError("config", f"unknown keys: {', '.join(sorted(unknown))}")
-    flags = {
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "distance_loss": args.loss,
-    }
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _CONFIG_FIELDS[key](value)
+        except ValueError:
+            kind = _CONFIG_FIELDS[key].__name__
+            raise CliError("config", f"{key} must be of type {kind}, got {value!r}")
+    flags = {"epochs": args.epochs, "seed": args.seed, "distance_loss": args.loss}
+    values.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        values = {key: _CONFIG_FIELDS[key](value) for key, value in raw.items()}
-        values.update((key, value) for key, value in flags.items() if value is not None)
         return training.TrainConfig(**values)
     except ValueError as exc:
         raise CliError("config", str(exc))
@@ -217,18 +224,11 @@ def cmd_train(args) -> int:
     metadata["train_config"] = asdict(config)
     metadata["skipped_empty"] = {"train": skipped_train, "dev": skipped_dev}
     metadata["best_epoch"] = result.best_epoch
-    try:
-        training.save_checkpoint(args.out, result, metadata=metadata)
-    except OSError as exc:
-        raise CliError("io", f"cannot write {args.out}: {exc.strerror}")
+    files = {args.out: training.checkpoint_text(result, metadata)}
     if args.metrics:
-        metrics_lines = [json.dumps({"run": metadata})]
-        metrics_lines += [json.dumps(asdict(epoch)) for epoch in result.history]
-        try:
-            _write_text(args.metrics, "".join(line + "\n" for line in metrics_lines))
-        except CliError:
-            os.remove(args.out)  # a failed run leaves no checkpoint behind
-            raise
+        lines = [{"run": metadata}] + [asdict(epoch) for epoch in result.history]
+        files[args.metrics] = "".join(json.dumps(line) + "\n" for line in lines)
+    _write_files(files)  # checks both again: nothing written unless both can be
     if dev_tuples:
         best = result.history[result.best_epoch - 1]
         print(
@@ -242,8 +242,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     try:
-        result = training.load_checkpoint(args.model)
-    except (OSError, ValueError) as exc:
+        result = training.read_checkpoint(_read_text(args.model))
+    except ValueError as exc:
         raise CliError("checkpoint", f"{args.model}: {exc}")
     sentences, skipped = _load_sentences(args.input, read=read_sentences)
     predicted = training.predict_trees(
@@ -258,10 +258,10 @@ def cmd_score(args) -> int:
     gold_trees, _ = _load_sentences(args.gold)
     pred_trees, _ = _load_sentences(args.pred)
     report = scoring.score(gold_trees, pred_trees)
-    if args.json:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        _write_text(args.out, scoring.format_report(report) + "\n")
+    text = json.dumps(report.to_dict(), indent=2) if args.json else (
+        scoring.format_report(report)
+    )
+    _write_files({args.out: text + "\n"})
     return 0
 
 
@@ -280,7 +280,7 @@ def cmd_bench(args) -> int:
     )
     metadata = _run_metadata(args)
     metadata["seed"] = seed
-    _write_text(args.out, bench.to_csv(rows, metadata=metadata))
+    _write_files({args.out: bench.to_csv(rows, metadata=metadata)})
     for engine in engines:
         ratios = bench.doubling_ratios(rows, engine)
         if ratios:

@@ -448,13 +448,9 @@ CHECKPOINT_VERSION = 2
 _PARAM_DTYPE = np.dtype("<f8")  # the stored parameters: little-endian float64s
 
 
-def save_checkpoint(
-    path,
-    result: TrainResult,
-    metadata: dict | None = None,
-) -> None:
-    """Write a self-describing JSON checkpoint: dimensions, vocabularies,
-    and ``params``, the flat parameter vector (arrays in
+def checkpoint_text(result: TrainResult, metadata: dict | None = None) -> str:
+    """A self-describing JSON checkpoint, one line: dimensions,
+    vocabularies, and ``params``, the flat parameter vector (arrays in
     :func:`~distparse.model.param_shapes` order) as one base64 string."""
     flat = result.params.flat.astype(_PARAM_DTYPE, copy=False)
     payload = {
@@ -465,27 +461,29 @@ def save_checkpoint(
         "params": base64.b64encode(flat.tobytes()).decode("ascii"),
         "metadata": metadata or {},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        # dumps runs the C encoder; dump to a file runs the Python one
-        handle.write(json.dumps(payload))
-        handle.write("\n")
+    return json.dumps(payload) + "\n"
 
 
 def load_checkpoint(path) -> TrainResult:
-    """Read a :func:`save_checkpoint` file; any fault raises a one-line
+    """:func:`read_checkpoint` of the file at ``path``, read as UTF-8."""
+    with open(path, encoding="utf-8") as handle:
+        return read_checkpoint(handle.read())
+
+
+def read_checkpoint(text: str) -> TrainResult:
+    """Read a :func:`checkpoint_text`; any fault raises a one-line
     ``ValueError``. Only version 2 is read. All eight ``model`` fields are
     required; ``ModelConfig`` and :class:`Vocabulary` check their own
     values, their errors prefixed ``model.`` and ``vocab.``. The
     ``params`` buffer must be strict base64 of exactly the model's
     parameter count of float64s, all finite; the count is checked before
     anything is sized from ``model``, so a huge dimension is a mismatch."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except RecursionError:
-            raise ValueError("JSON nests too deeply to read") from None
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to read") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a recognized checkpoint file")
+        raise ValueError("not a recognized checkpoint file")
     version = payload.get("version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         found = f"version {version}" if type(version) is int else "no integer version"

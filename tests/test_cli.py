@@ -374,7 +374,9 @@ class TestEncodeDecode:
         assert main(["encode", "/nonexistent/path.mrg"]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
 
-    @pytest.mark.parametrize("command", ["encode", "decode", "predict", "score", "train"])
+    @pytest.mark.parametrize(
+        "command", ["encode", "decode", "predict", "predict --model", "score", "train"]
+    )
     def test_invalid_utf8_names_the_path_and_offset(
         self, tmp_path, capsys, small_checkpoint, command
     ):
@@ -386,6 +388,7 @@ class TestEncodeDecode:
             "encode": ["encode", str(bad)],
             "decode": ["decode", str(bad)],
             "predict": ["predict", str(bad), "--model", str(small_checkpoint)],
+            "predict --model": ["predict", str(SAMPLE), "--model", str(bad)],
             "score": ["score", str(SAMPLE), str(bad)],
             "train": ["train", "--train", str(SAMPLE), "--config", str(bad)],
         }[command]
@@ -628,13 +631,17 @@ class TestTrainPredictScore:
         assert err == f"error: io: cannot write {metrics}: No such file or directory"
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new other", "old other"])
     @pytest.mark.parametrize("output", ["--out", "--metrics"])
     def test_output_that_turns_unwritable_during_training_is_one_io_line(
-        self, tmp_path, monkeypatch, capsys, output
+        self, tmp_path, monkeypatch, capsys, output, existing
     ):
         config = tmp_path / "small.cfg"
         config.write_text(SMALL_MODEL)
         paths = {"--out": tmp_path / "m.json", "--metrics": tmp_path / "metrics.jsonl"}
+        (other,) = [path for flag, path in paths.items() if flag != output]
+        if existing:
+            other.write_bytes(b"earlier\n")
         train = training.train
 
         def train_then_take_the_path(*args, **kwargs):
@@ -651,8 +658,12 @@ class TestTrainPredictScore:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: io: cannot write {paths[output]}: Is a directory"]
         assert captured.err.endswith(errors[0] + "\n")
-        # the metrics fail after the checkpoint was written, which then goes
-        assert sorted(tmp_path.iterdir()) == sorted([config, paths[output]])
+        # both paths are checked again before either is written, so the
+        # other one is neither written nor, when it existed, changed
+        kept = [other] if existing else []
+        assert sorted(tmp_path.iterdir()) == sorted([config, paths[output], *kept])
+        if existing:
+            assert other.read_bytes() == b"earlier\n"
 
     @pytest.mark.parametrize("spelling", ["same", "dotted"])
     def test_out_and_metrics_naming_one_file_fail_before_any_reading(
@@ -815,6 +826,16 @@ class TestTrainPredictScore:
                 ("adam_eps", "inf"),
                 ("weight_decay", "nan"),
             ]
+        ]
+        + [
+            pytest.param(f"{name} = {value}\n",
+                         f"{name} must be of type {kind}, got {value!r}\n",
+                         id=f"{name}-{value}")
+            for name, value, kind in [
+                ("epochs", "x", "int"),
+                ("seed", "1.5", "int"),
+                ("learning_rate", "fast", "float"),
+            ]
         ],
     )
     def test_config_value_is_a_config_error_before_any_treebank_is_read(
@@ -915,7 +936,24 @@ class TestTrainPredictScore:
     ):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(payload)
-        self._assert_checkpoint_error(capsys, mini_treebank, bogus, tmp_path)
+        self._assert_checkpoint_error(
+            capsys, mini_treebank, bogus, tmp_path, "not a recognized checkpoint file"
+        )
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    def test_model_that_cannot_be_read_is_an_io_error(
+        self, tmp_path, mini_treebank, capsys, kind
+    ):
+        ckpt = tmp_path / "m.json"
+        if kind == "folder":
+            ckpt.mkdir()
+        out = tmp_path / "pred.mrg"
+        argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
+        assert main(argv) == 1
+        reason = {"missing": "No such file or directory", "folder": "Is a directory"}
+        err = capsys.readouterr().err
+        assert err == f"error: io: cannot read {ckpt}: {reason[kind]}\n"
+        assert not out.exists()
 
     def _assert_checkpoint_error(self, capsys, mini_treebank, ckpt, tmp_path, message=None):
         capsys.readouterr()
@@ -1238,7 +1276,7 @@ class TestTrainPredictScore:
         result.params["dist_head_b1"][...] = 1e3
         result.params["dist_head_W2"][...] = 1e308
         ckpt = tmp_path / "model.json"
-        training.save_checkpoint(ckpt, result)
+        ckpt.write_text(training.checkpoint_text(result))
         capsys.readouterr()
         out = tmp_path / "pred.mrg"
         argv = ["predict", str(mini_treebank), "--model", str(ckpt), "--out", str(out)]
@@ -1259,6 +1297,8 @@ def writing_argv(command: str, checkpoint) -> list[str]:
         "decode": ["decode", str(SAMPLE_JSONL)],
         "predict": ["predict", str(SAMPLE), "--model", str(checkpoint)],
         "score": ["score", str(SAMPLE), str(SAMPLE)],
+        "score --json": ["score", str(SAMPLE), str(SAMPLE), "--json"],
+        "bench": ["bench", "--sizes", "8", "--reps", "1"],
     }[command]
 
 
@@ -1282,7 +1322,9 @@ class TestOutputFiles:
             assert not out.exists()
         assert list((tmp_path / "x.run.json").iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["encode", "decode", "predict", "score"])
+    @pytest.mark.parametrize(
+        "command", ["encode", "decode", "predict", "score", "score --json", "bench"]
+    )
     def test_output_that_is_a_folder_is_one_io_line(
         self, tmp_path, capsys, small_checkpoint, command
     ):

@@ -14,11 +14,12 @@ from distparse.train import (
     NonFiniteError,
     TrainConfig,
     Vocabulary,
+    checkpoint_text,
     length_batches,
     load_checkpoint,
     predict_scores,
     predict_trees,
-    save_checkpoint,
+    read_checkpoint,
     train,
 )
 from distparse.trees import Leaf, NaryTree, leaves
@@ -614,8 +615,9 @@ class TestCheckpoint:
         train_tuples, dev_tuples = small_corpus(60, 10)
         result = train(train_tuples, dev_tuples, small_config(epochs=1))
         path = tmp_path / "model.json"
-        save_checkpoint(path, result, metadata={"note": "test"})
+        path.write_text(checkpoint_text(result, metadata={"note": "test"}))
         loaded = load_checkpoint(path)
+        assert json.loads(path.read_text())["metadata"] == {"note": "test"}
         assert loaded.vocab == result.vocab
         assert loaded.model_config == result.model_config
         for name in result.params:
@@ -626,12 +628,12 @@ class TestCheckpoint:
         b = predict_trees(loaded.params, loaded.model_config, loaded.vocab, sentence)[0]
         assert a == b
 
-    def test_stores_the_flat_buffer_in_layout_order(self, tmp_path):
+    def test_stores_the_flat_buffer_in_layout_order(self):
         train_tuples, dev_tuples = small_corpus(60, 10)
         result = train(train_tuples, dev_tuples, small_config(epochs=1))
-        path = tmp_path / "model.json"
-        save_checkpoint(path, result)
-        payload = json.loads(path.read_text())
+        text = checkpoint_text(result)
+        assert text.endswith("}\n") and text.count("\n") == 1
+        payload = json.loads(text)
         assert payload["version"] == 2
         stored = np.frombuffer(base64.b64decode(payload["params"], validate=True), "<f8")
         np.testing.assert_array_equal(stored, result.params.flat)
@@ -644,17 +646,15 @@ class TestCheckpoint:
             )
             offset += size
         assert offset == stored.size
-        loaded = load_checkpoint(path)
+        loaded = read_checkpoint(text)
         assert param_layout(loaded.params) == param_layout(result.params)
         np.testing.assert_array_equal(loaded.params.flat, result.params.flat)
         for value in loaded.params.values():
             assert np.shares_memory(value, loaded.params.flat)
-        again = tmp_path / "again.json"
-        save_checkpoint(again, loaded)
-        assert again.read_bytes() == path.read_bytes()
+        assert checkpoint_text(loaded) == text
 
     def test_rejects_non_checkpoint_files(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"hello": 1}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^not a recognized checkpoint file$"):
             load_checkpoint(path)
