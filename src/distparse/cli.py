@@ -191,6 +191,9 @@ def _train_config(args) -> training.TrainConfig:
             values[key] = _CONFIG_FIELDS[key](value)
         except ValueError:
             kind = _CONFIG_FIELDS[key].__name__
+            if len(value) > 100:  # no key takes a value this long: quote its start
+                got = f"{len(value)} characters, starting {value[:20]!r}"
+                raise CliError("config", f"{key} is too long to be a value: {got}")
             raise CliError("config", f"{key} must be of type {kind}, got {value!r}")
     flags = {"epochs": args.epochs, "seed": args.seed, "distance_loss": args.loss}
     values.update((key, value) for key, value in flags.items() if value is not None)

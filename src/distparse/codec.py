@@ -21,6 +21,9 @@ inputs, ties included (the leftmost maximum wins, see :func:`root_split`):
 :func:`decode_tree` runs ``stack``, the fastest; :func:`decode` takes any
 engine by name, which is how they are compared.
 
+A :class:`DistanceTuple` makes its scores floats once, when it is built,
+so the engines and :func:`to_json_line` read them as they are.
+
 Tuples and tables are immutable once built, and the left/right subranges
 of a split never interact, so spans could be decoded concurrently; the
 engines here are sequential.
@@ -44,11 +47,12 @@ from .trees import BREAKS_TOKEN, Leaf, NaryTree, Tree, token_problem
 class DistanceTuple:
     """The per-sentence encoding: words, tags, and word unary labels (one
     per word) plus split scores and split labels (one per split point).
+    The scores may be any real numbers, and are held as Python floats.
     Building one raises ``ValueError`` for a word or tag that a bracketed
-    tree cannot hold (empty, or with whitespace or a parenthesis) and for
-    a split score that is not finite: no ranking of NaN is meaningful, and
-    the engines would each read one differently. :func:`decode_tree`
-    checks the labels."""
+    tree cannot hold (empty, or with whitespace or a parenthesis), and for
+    a score that is not finite (no ranking of NaN is meaningful) or that no
+    float holds exactly (``2**53 + 1`` would round into a tie, ``10**400``
+    overflow). :func:`decode_tree` checks the labels."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
@@ -79,16 +83,31 @@ class DistanceTuple:
                 f"field {('words', 'tags')[field]!r} item {item} "
                 f"{token_problem(tokens[index])}: {tokens[index]!r}"
             )
-        if not all(map(math.isfinite, self.distances)):
-            index = next(
-                i for i, d in enumerate(self.distances) if not math.isfinite(d)
-            )
-            raise ValueError(
-                f"distance {index} is {self.distances[index]}, scores must be finite"
-            )
+        # one conversion and one compare of all the distances; only a
+        # failure reads them again
+        given = tuple(self.distances)
+        try:
+            distances = tuple(map(float, given))
+        except OverflowError:
+            distances = None
+        if distances != given or not all(map(math.isfinite, distances)):
+            index = next(i for i, d in enumerate(given) if _distance_problem(d))
+            raise ValueError(f"distance {index} {_distance_problem(given[index])}")
+        object.__setattr__(self, "distances", distances)
 
     def __len__(self) -> int:
         return len(self.words)
+
+
+def _distance_problem(d) -> str | None:
+    """Why ``d`` cannot be a split score, or None if it can."""
+    try:
+        value = float(d)
+    except OverflowError:
+        return "is an integer too large for a float"
+    if not math.isfinite(value):
+        return f"is {value}, scores must be finite"
+    return None if value == d else f"is {d!r}, no float holds it exactly"
 
 
 def encode(tree: BinaryTree) -> DistanceTuple:
@@ -121,9 +140,7 @@ def encode(tree: BinaryTree) -> DistanceTuple:
         else:
             right = heights.pop()
             heights[-1] = distances[item] = max(heights[-1], right) + 1.0
-    return DistanceTuple(
-        tuple(words), tuple(tags), tuple(unary), tuple(distances), tuple(split_labels)
-    )
+    return DistanceTuple(*map(tuple, (words, tags, unary, distances, split_labels)))
 
 
 def encode_tree(tree: Tree) -> DistanceTuple:
@@ -133,13 +150,8 @@ def encode_tree(tree: Tree) -> DistanceTuple:
     reading = read_tree(tree)
     if reading.label_error is not None:
         raise reading.label_error
-    return DistanceTuple(
-        tuple(reading.words),
-        tuple(reading.tags),
-        tuple(reading.unary_labels),
-        tuple(reading.distances),
-        tuple(reading.split_labels),
-    )
+    columns = reading.words, reading.tags, reading.unary_labels, reading.distances
+    return DistanceTuple(*map(tuple, columns), tuple(reading.split_labels))
 
 
 class SparseTable:
@@ -212,19 +224,17 @@ def _scan(distances: Sequence[float], left: list[int], right: list[int]) -> int:
     Deliberately unoptimized; its worst case (comb-shaped trees) is
     quadratic in the number of comparisons, which the benchmark relies on.
     """
-    values = [float(d) for d in distances]
-
     def argmax(lo: int, hi: int) -> int:
-        best = values[lo]
+        best = distances[lo]
         best_index = lo
         for k in range(lo + 1, hi):
-            v = values[k]
+            v = distances[k]
             if v > best:
                 best = v
                 best_index = k
         return best_index
 
-    return _top_down(len(values), left, right, argmax)
+    return _top_down(len(distances), left, right, argmax)
 
 
 def _rmq(distances: Sequence[float], left: list[int], right: list[int]) -> int:
@@ -241,7 +251,7 @@ def _stack(distances: Sequence[float], left: list[int], right: list[int]) -> int
     the top-down engines.
     """
     stack: list[tuple[float, int]] = []
-    for i, value in enumerate(map(float, distances)):
+    for i, value in enumerate(distances):
         while stack and stack[-1][0] < value:
             left[i] = stack.pop()[1]
         if stack:
@@ -361,7 +371,7 @@ def to_json_line(tup: DistanceTuple) -> str:
             "words": list(tup.words),
             "tags": list(tup.tags),
             "unary_labels": list(tup.unary_labels),
-            "distances": [float(d) for d in tup.distances],
+            "distances": list(tup.distances),
             "split_labels": list(tup.split_labels),
         }
     )
@@ -404,8 +414,8 @@ def from_json_line(line: str) -> DistanceTuple:
     """Parse one interchange record; raises ValueError on malformed input:
     a line that is not JSON or nests too deeply to read, a missing field,
     a field that is not a list of the right element type (numbers for
-    ``distances``, strings for the rest), or an integer distance too large
-    for a float. :class:`DistanceTuple` checks the words, tags and distances."""
+    ``distances``, strings for the rest). :class:`DistanceTuple` checks
+    the words, tags and distances, and makes the distances floats."""
     try:
         record = json.loads(line)
     except RecursionError:
@@ -417,10 +427,5 @@ def from_json_line(line: str) -> DistanceTuple:
     unary_labels = _list_field(record, "unary_labels", _STRING, "strings")
     distances = _list_field(record, "distances", _NUMBER, "numbers")
     split_labels = _list_field(record, "split_labels", _STRING, "strings")
-    try:
-        distances = tuple(map(float, distances))
-    except OverflowError:
-        raise ValueError("field 'distances' holds an integer too large for a float")
-    return DistanceTuple(
-        tuple(words), tuple(tags), tuple(unary_labels), distances, tuple(split_labels)
-    )
+    columns = (words, tags, unary_labels, distances, split_labels)
+    return DistanceTuple(*map(tuple, columns))

@@ -67,23 +67,13 @@ class Vocabulary:
                 raise LabelError(f"{name}: {exc}") from None
             object.__setattr__(self, f"_{name[:-1]}_index", index)  # _word_index, …
 
-    def word_id(self, word: str) -> int:
-        return self._word_index.get(word, 0)
-
-    def tag_id(self, tag: str) -> int:
-        return self._tag_index.get(tag, 0)
-
-    def word_label_id(self, label: str) -> int:
-        try:
-            return self._word_label_index[label]
-        except KeyError:
-            raise ValueError(f"word label {label!r} not in the training vocabulary")
-
-    def split_label_id(self, label: str) -> int:
-        try:
-            return self._split_label_index[label]
-        except KeyError:
-            raise ValueError(f"split label {label!r} not in the training vocabulary")
+    def input_ids(self, words, tags) -> tuple[list[int], list[int]]:
+        """A sentence's word and tag ids for the network: an unseen word or
+        tag is id 0."""
+        return (
+            [self._word_index.get(word, 0) for word in words],
+            [self._tag_index.get(tag, 0) for tag in tags],
+        )
 
 
 # TrainConfig's float fields -> (the rule each value must meet, its wording)
@@ -219,12 +209,12 @@ class TrainResult:
 
 
 def _encode_example(tup: DistanceTuple, vocab: Vocabulary):
+    # vocab was built from the training tuples, so it holds all their labels
     return (
-        [vocab.word_id(w) for w in tup.words],
-        [vocab.tag_id(t) for t in tup.tags],
+        *vocab.input_ids(tup.words, tup.tags),
         list(tup.distances),
-        [vocab.word_label_id(u) for u in tup.unary_labels],
-        [vocab.split_label_id(c) for c in tup.split_labels],
+        list(map(vocab._word_label_index.__getitem__, tup.unary_labels)),
+        list(map(vocab._split_label_index.__getitem__, tup.split_labels)),
     )
 
 
@@ -369,12 +359,9 @@ def predict_scores(
     probabilities are not all finite (parameters large enough to
     overflow), since no tree decoded from them would mean anything.
     """
-    word_index, tag_index = vocab._word_index, vocab._tag_index
+    ids = [vocab.input_ids(words, tags) for words, tags in sentences]
     result = model.forward_batch(
-        params,
-        model_config,
-        [[word_index.get(w, 0) for w in words] for words, _ in sentences],
-        [[tag_index.get(t, 0) for t in tags] for _, tags in sentences],
+        params, model_config, [w for w, _ in ids], [t for _, t in ids]
     )
     outputs = (result.distances, result.word_probs, result.split_probs)
     # the whole batch in three checks; the batch rows include padding, so

@@ -290,6 +290,24 @@ class TestEncodeDecode:
         assert err.startswith("error: decode:") and "line 1" in err
         assert err.count("\n") == 1
 
+    def test_jsonl_distance_no_float_holds_fails_cleanly(self, tmp_path, capsys):
+        # rounded to floats, the two scores would tie and decode as the
+        # reversed pair's tree
+        jsonl = tmp_path / "wide.jsonl"
+        jsonl.write_text(
+            '{"words": ["a", "b", "c"], "tags": ["X", "X", "X"], '
+            '"unary_labels": ["∅", "∅", "∅"], '
+            '"distances": [9007199254740992, 9007199254740993], '
+            '"split_labels": ["S", "NP"]}\n'
+        )
+        out = tmp_path / "wide.mrg"
+        assert main(["decode", str(jsonl), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: decode: {jsonl}: line 1: "
+            "distance 1 is 9007199254740993, no float holds it exactly\n"
+        )
+        assert not out.exists()
+
     def test_deeply_nested_jsonl_fails_cleanly(self, tmp_path, capsys):
         jsonl = tmp_path / "deep.jsonl"
         jsonl.write_text(SAMPLE_JSONL.read_text() + "[" * 1000 + "]" * 1000 + "\n")
@@ -836,6 +854,12 @@ class TestTrainPredictScore:
                 ("seed", "1.5", "int"),
                 ("learning_rate", "fast", "float"),
             ]
+        ]
+        + [
+            # past Python's int digit limit: the line quotes only the start
+            pytest.param(f"seed = {'1' * 5000}\n", "seed is too long to be a value: "
+                         "5000 characters, starting '11111111111111111111'\n",
+                         id="seed-5000-digits"),
         ],
     )
     def test_config_value_is_a_config_error_before_any_treebank_is_read(
@@ -849,6 +873,7 @@ class TestTrainPredictScore:
         assert main(argv + ["--out", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
+        assert len(err.encode()) < 200
         assert not ckpt.exists()
 
     # only sizes that fail at once: one that does allocate would make the

@@ -438,7 +438,9 @@ class TestJsonl:
             ("distances", ["1.0"], "item 0 is a string"),
             ("distances", [float("nan")], "distance 0 is nan"),
             ("distances", [float("-inf")], "distance 0 is -inf"),
-            ("distances", [10**400], "too large"),
+            ("distances", [10**400], "distance 0 is an integer too large for a float"),
+            ("distances", [2**53 + 1], "distance 0 is 9007199254740993, no float holds"
+             " it exactly"),
         ],
     )
     def test_mistyped_fields_rejected(self, field, value, message):
@@ -476,9 +478,35 @@ class TestDistanceTupleValidation:
         with pytest.raises(ValueError):
             DistanceTuple(("a", "b"), ("T",), ("X", "X"), (1.0,), ("S",))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "distances", [(2, 1, 2), (np.float64(2.0), 1.0, np.float64(2.0))]
+    )
+    def test_distances_are_held_as_python_floats(self, distances):
+        tup = DistanceTuple(("a",) * 4, ("T",) * 4, ("X",) * 4, distances, ("S",) * 3)
+        assert tup.distances == (2.0, 1.0, 2.0)
+        assert all(type(d) is float for d in tup.distances)
+        trees = [decode(tup, engine) for engine in ENGINES]
+        assert all(binary_trees_equal(trees[0], tree) for tree in trees[1:])
+        assert to_json_line(tup) == to_json_line(
+            DistanceTuple(("a",) * 4, ("T",) * 4, ("X",) * 4, (2.0, 1.0, 2.0), ("S",) * 3)
+        )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (10**400, "distance 1 is an integer too large for a float"),
+            (2**53 + 1, "distance 1 is 9007199254740993, no float holds it exactly"),
+        ],
+    )
+    def test_distance_no_float_holds_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DistanceTuple(("a", "b", "c"), ("T",) * 3, ("X",) * 3, (2**53, bad), ("S",) * 2)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")]
+    )
     def test_non_finite_distance_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="distance 1 is -?(nan|inf), scores must"):
             DistanceTuple(("a", "b", "c"), ("T",) * 3, ("X",) * 3, (1.0, bad), ("S",) * 2)
 
     @pytest.mark.parametrize(

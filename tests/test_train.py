@@ -63,16 +63,11 @@ class TestVocabulary:
     def test_unknown_words_map_to_unk(self):
         train_tuples, _ = small_corpus(30, 0)
         vocab = Vocabulary.build(train_tuples)
-        assert vocab.word_id("zzz-never-seen") == 0
-        assert vocab.tag_id("ZZZ") == 0
-
-    def test_unknown_labels_are_errors(self):
-        train_tuples, _ = small_corpus(30, 0)
-        vocab = Vocabulary.build(train_tuples)
-        with pytest.raises(ValueError):
-            vocab.word_label_id("NEVER")
-        with pytest.raises(ValueError):
-            vocab.split_label_id("NEVER")
+        known_word, known_tag = vocab.words[1], vocab.tags[1]
+        assert vocab.input_ids(["zzz-never-seen", known_word], ["ZZZ", known_tag]) == (
+            [0, 1],
+            [0, 1],
+        )
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -93,12 +88,15 @@ class TestVocabulary:
         assert vocab.split_labels == tuple(
             sorted({EMPTY_LABEL, *inventory(lambda tup: tup.split_labels)})
         )
-        assert [vocab.word_id(w) for w in vocab.words] == list(range(len(vocab.words)))
-        assert [vocab.tag_id(t) for t in vocab.tags] == list(range(len(vocab.tags)))
-        for position, label in enumerate(vocab.word_labels):
-            assert vocab.word_label_id(label) == position
-        for position, label in enumerate(vocab.split_labels):
-            assert vocab.split_label_id(label) == position
+        assert vocab.input_ids(vocab.words, vocab.tags) == (
+            list(range(len(vocab.words))),
+            list(range(len(vocab.tags))),
+        )
+        # training reads each label's id as its position in the inventory
+        for tup in train_tuples:
+            example = training._encode_example(tup, vocab)
+            assert example[3] == [vocab.word_labels.index(u) for u in tup.unary_labels]
+            assert example[4] == [vocab.split_labels.index(c) for c in tup.split_labels]
 
     @staticmethod
     def _inventories(field, *extra):
@@ -272,11 +270,10 @@ class TestTraining:
         )
         examples = [
             (
-                [vocab.word_id(w) for w in tup.words],
-                [vocab.tag_id(t) for t in tup.tags],
+                *vocab.input_ids(tup.words, tup.tags),
                 list(tup.distances),
-                [vocab.word_label_id(u) for u in tup.unary_labels],
-                [vocab.split_label_id(c) for c in tup.split_labels],
+                [vocab.word_labels.index(u) for u in tup.unary_labels],
+                [vocab.split_labels.index(c) for c in tup.split_labels],
             )
             for tup in train_tuples
         ]
@@ -409,10 +406,7 @@ class TestPrediction:
         expected = []
         root_differs = 0
         for words, tags in sentences:
-            single = model.forward(
-                params, config, [vocab.word_id(w) for w in words],
-                [vocab.tag_id(t) for t in tags],
-            )
+            single = model.forward(params, config, *vocab.input_ids(words, tags))
             assert (single.split_probs.argmax(axis=1) == empty_index).all()
             non_empty = np.array(single.split_probs)
             non_empty[:, empty_index] = -np.inf
@@ -466,6 +460,22 @@ class TestPrediction:
         train_tuples, _ = small_corpus(30, 0)
         result = train(train_tuples, [], small_config(epochs=1))
         assert predict_trees(result.params, result.model_config, result.vocab, []) == []
+        with pytest.raises(ValueError, match="cannot run the network on an empty batch"):
+            predict_scores(result.params, result.model_config, result.vocab, [])
+
+    def test_unseen_words_and_tags_score_as_the_unknown_entry(self):
+        train_tuples, _ = small_corpus(30, 0)
+        result = train(train_tuples, [], small_config(epochs=1))
+        known = (train_tuples[0].words[0], train_tuples[0].tags[0])
+        sentences = [
+            (("zzz-never-seen", known[0]), ("ZZZ", known[1])),
+            (("<unk>", known[0]), ("<unk>", known[1])),
+        ]
+        unseen, unknown = predict_scores(
+            result.params, result.model_config, result.vocab, sentences
+        )
+        assert unseen.distances == unknown.distances
+        assert unseen.split_labels == unknown.split_labels
 
     def test_single_word_prediction(self):
         train_tuples, _ = small_corpus(60, 0)
@@ -513,10 +523,7 @@ class TestBatchLabels:
         assert len(scored) == len(sentences)
         for (words, tags), tup in zip(sentences, scored):
             single = model.forward(
-                params,
-                result.model_config,
-                [vocab.word_id(w) for w in words],
-                [vocab.tag_id(t) for t in tags],
+                params, result.model_config, *vocab.input_ids(words, tags)
             )
             assert tup.unary_labels == tuple(
                 vocab.word_labels[i] for i in single.word_probs.argmax(axis=1)
@@ -561,7 +568,7 @@ class TestBatchLabels:
         sentences = [
             (t.words, t.tags)
             for t in dev_tuples
-            if all(result.vocab.word_id(word) for word in t.words)
+            if all(result.vocab.input_ids(t.words, ())[0])
         ]
         assert len({len(words) for words, _ in sentences}) > 1
         self.assert_labels_match_forward(params, result, sentences)
@@ -599,7 +606,7 @@ class TestNonFiniteOutput:
         sentences = [
             (t.words, t.tags)
             for t in dev_tuples
-            if all(result.vocab.word_id(word) for word in t.words)
+            if all(result.vocab.input_ids(t.words, ())[0])
         ]
         assert len({len(words) for words, _ in sentences}) > 1
         batched = predict_trees(params, result.model_config, result.vocab, sentences)
