@@ -50,9 +50,9 @@ class DistanceTuple:
     The scores may be any real numbers, and are held as Python floats.
     Building one raises ``ValueError`` for a word or tag that a bracketed
     tree cannot hold (empty, or with whitespace or a parenthesis), and for
-    a score that is not finite (no ranking of NaN is meaningful) or that no
-    float holds exactly (``2**53 + 1`` would round into a tie, ``10**400``
-    overflow). :func:`decode_tree` checks the labels."""
+    a score that is not a number, is not finite (no ranking of NaN is
+    meaningful) or that no float holds exactly (``2**53 + 1`` would round
+    into a tie, ``10**400`` overflow). :func:`decode_tree` checks the labels."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
@@ -88,7 +88,7 @@ class DistanceTuple:
         given = tuple(self.distances)
         try:
             distances = tuple(map(float, given))
-        except OverflowError:
+        except (OverflowError, TypeError, ValueError):  # checked one by one below
             distances = None
         if distances != given or not all(map(math.isfinite, distances)):
             index = next(i for i, d in enumerate(given) if _distance_problem(d))
@@ -101,10 +101,14 @@ class DistanceTuple:
 
 def _distance_problem(d) -> str | None:
     """Why ``d`` cannot be a split score, or None if it can."""
+    if isinstance(d, str):  # float() would read it
+        return f"is {d!r}, not a number"
     try:
         value = float(d)
     except OverflowError:
         return "is an integer too large for a float"
+    except TypeError:
+        return f"is {d!r}, not a number"
     if not math.isfinite(value):
         return f"is {value}, scores must be finite"
     return None if value == d else f"is {d!r}, no float holds it exactly"

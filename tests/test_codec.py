@@ -496,9 +496,12 @@ class TestDistanceTupleValidation:
         [
             (10**400, "distance 1 is an integer too large for a float"),
             (2**53 + 1, "distance 1 is 9007199254740993, no float holds it exactly"),
+            ("1.5", "distance 1 is '1.5', not a number"),
+            ("x", "distance 1 is 'x', not a number"),
+            (None, "distance 1 is None, not a number"),
         ],
     )
-    def test_distance_no_float_holds_rejected(self, bad, message):
+    def test_distance_that_is_not_a_float_rejected(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             DistanceTuple(("a", "b", "c"), ("T",) * 3, ("X",) * 3, (2**53, bad), ("S",) * 2)
 
