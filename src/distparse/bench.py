@@ -71,8 +71,9 @@ def run(
     interleave: bool = False,
     warmup: bool = True,
 ) -> list[BenchRow]:
-    """Time every (size, engine) pair on the given shape; a size or engine
-    named twice, which would pool two pairs' timings, raises ``ValueError``.
+    """Time every (size, engine) pair on the given shape; a negative seed,
+    or a size or engine named twice (pooling two pairs' timings), raises
+    ``ValueError``.
 
     With ``check_agreement`` the engines' trees are verified identical on
     each input before timing. ``interleave`` cycles through all pairs on
@@ -82,6 +83,8 @@ def run(
     which contention can never deflate. ``warmup`` runs one untimed decode
     per pair first.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     for size in sizes:
         if size < 2:
             raise ValueError("benchmark sizes must be >= 2")

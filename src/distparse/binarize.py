@@ -83,8 +83,6 @@ class TreeReading(NamedTuple):
     unary_labels: list[str]
     split_labels: list[str]
     distances: list[float]
-    # the first label binarization rejects, in pre-order, or None
-    label_error: LabelError | None
 
 
 def read_tree(tree: Tree) -> TreeReading:
@@ -96,9 +94,10 @@ def read_tree(tree: Tree) -> TreeReading:
     first split carries the node's chain label and every later one ``∅``.
     A chain that ends on a word becomes that word's unary label. A word
     scores 0, and a split one above the taller of its left child and the
-    comb to its right. The first label :func:`check_label` rejects is
-    returned, not raised, so a caller can finish the walk. Preterminals
-    are not constituents; a bare-leaf tree therefore has none.
+    comb to its right. Raises the :class:`LabelError` of the first label
+    :func:`check_label` rejects, in pre-order, as :func:`binarize` does.
+    Preterminals are not constituents; a bare-leaf tree therefore has
+    none.
     """
     words: list[str] = []
     tags: list[str] = []
@@ -106,7 +105,6 @@ def read_tree(tree: Tree) -> TreeReading:
     splits: list[str] = []
     distances: list[float] = []
     constituents: list[tuple[list[str], int, int]] = []
-    error = None
     # open constituents: [chain labels, start, unvisited children, label
     # of the split before the next child, indices of the splits so far]
     stack: list[list] = []
@@ -116,13 +114,7 @@ def read_tree(tree: Tree) -> TreeReading:
         # node with several children
         chain = []
         while not isinstance(node, Leaf):
-            label = node.label
-            try:
-                check_label(label)
-            except LabelError as exc:
-                if error is None:
-                    error = exc
-            chain.append(label)
+            chain.append(check_label(node.label))
             if len(node.children) != 1:
                 children = iter(node.children)
                 split = CHAIN_SEPARATOR.join(chain)
@@ -143,7 +135,7 @@ def read_tree(tree: Tree) -> TreeReading:
                     constituents.append((chain, start, len(words)))
                 if not stack:
                     return TreeReading(
-                        words, tags, constituents, unary, splits, distances, error
+                        words, tags, constituents, unary, splits, distances
                     )
                 top = stack[-1]
                 node = next(top[2], None)

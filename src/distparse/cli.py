@@ -160,7 +160,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; '#' starts a comment. A key set twice
+    fails, and so does a key or value over 100 characters long."""
     values = {}
     for number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,8 +169,16 @@ def _parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise CliError("config", f"{path}: line {number}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        for text, what in (
+            (key, "a key is too long"), (value, f"{key} is too long to be a value")
+        ):
+            if len(text) > 100:  # no setting is this long: quote only its start
+                got = f"{len(text)} characters, starting {text[:20]!r}"
+                raise CliError("config", f"{what}: {got}")
+        if key in values:
+            raise CliError("config", f"{path}: line {number}: {key} is set twice")
+        values[key] = value
     return values
 
 
@@ -191,9 +200,6 @@ def _train_config(args) -> training.TrainConfig:
             values[key] = _CONFIG_FIELDS[key](value)
         except ValueError:
             kind = _CONFIG_FIELDS[key].__name__
-            if len(value) > 100:  # no key takes a value this long: quote its start
-                got = f"{len(value)} characters, starting {value[:20]!r}"
-                raise CliError("config", f"{key} is too long to be a value: {got}")
             raise CliError("config", f"{key} must be of type {kind}, got {value!r}")
     flags = {"epochs": args.epochs, "seed": args.seed, "distance_loss": args.loss}
     values.update((key, value) for key, value in flags.items() if value is not None)
@@ -297,6 +303,8 @@ class _Parser(argparse.ArgumentParser):
     every other failure; the subcommand parsers are of this class too."""
 
     def error(self, message: str):
+        if len(message) > 200:  # it quotes an overlong argument: cut it short
+            message = f"{message[:100]}... ({len(message)} characters)"
         raise CliError("usage", message)
 
 

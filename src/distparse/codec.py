@@ -152,8 +152,6 @@ def encode_tree(tree: Tree) -> DistanceTuple:
     :func:`~distparse.binarize.read_tree` without building the binary tree;
     raises the first label error in pre-order, as ``binarize`` does."""
     reading = read_tree(tree)
-    if reading.label_error is not None:
-        raise reading.label_error
     columns = reading.words, reading.tags, reading.unary_labels, reading.distances
     return DistanceTuple(*map(tuple, columns), tuple(reading.split_labels))
 

@@ -133,27 +133,23 @@ def report_from_counts(counts: EvalCounts, sentences: int) -> ScoreReport:
 def score(gold: list[Tree], pred: list[Tree]) -> ScoreReport:
     """Corpus-level scores, each tree read once by :func:`read_tree`.
 
-    Sentence ``i`` of both lists must share its word sequence; raises
-    :class:`EvaluationError` naming the first sentence that does not,
-    otherwise the :class:`LabelError` of the first label binarize rejects
-    in the gold trees, then in the predicted ones.
+    Both lists must hold the same number of sentences, else raises
+    :class:`EvaluationError`. Otherwise raises the first fault in sentence
+    order; within a sentence, the :class:`LabelError` of the first label
+    binarize rejects in the gold tree, then in the predicted one, then an
+    :class:`EvaluationError` if the two do not share their word sequence.
     """
     if len(gold) != len(pred):
         raise EvaluationError(
             f"got {len(gold)} gold but {len(pred)} predicted sentences"
         )
     counts = EvalCounts()
-    gold_error = pred_error = None
     for index, (g, p) in enumerate(zip(gold, pred)):
         gold_reading = read_tree(g)
         pred_reading = read_tree(p)
         if gold_reading.words != pred_reading.words:
             raise EvaluationError(f"leaf mismatch in sentence {index}")
-        gold_error = gold_error or gold_reading.label_error
-        pred_error = pred_error or pred_reading.label_error
         counts.add_pair(gold_reading, pred_reading)
-    if gold_error or pred_error:
-        raise gold_error or pred_error
     return report_from_counts(counts, len(gold))
 
 

@@ -860,6 +860,16 @@ class TestTrainPredictScore:
             pytest.param(f"seed = {'1' * 5000}\n", "seed is too long to be a value: "
                          "5000 characters, starting '11111111111111111111'\n",
                          id="seed-5000-digits"),
+            # a value that converts, and a key, are held to the same rule
+            pytest.param(f"distance_loss = {'x' * 5000}\n",
+                         "distance_loss is too long to be a value: "
+                         "5000 characters, starting 'xxxxxxxxxxxxxxxxxxxx'\n",
+                         id="distance_loss-5000-characters"),
+            pytest.param(f"{'k' * 5000} = 1\n", "a key is too long: "
+                         "5000 characters, starting 'kkkkkkkkkkkkkkkkkkkk'\n",
+                         id="key-5000-characters"),
+            pytest.param("epochs = 1\n# again\nepochs = 2\n",
+                         "<path>: line 3: epochs is set twice\n", id="epochs-twice"),
         ],
     )
     def test_config_value_is_a_config_error_before_any_treebank_is_read(
@@ -872,6 +882,7 @@ class TestTrainPredictScore:
         argv = ["train", "--train", str(missing), "--config", str(config)]
         assert main(argv + ["--out", str(ckpt)]) == 1
         err = capsys.readouterr().err
+        message = message.replace("<path>", str(config))
         assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
         assert len(err.encode()) < 200
         assert not ckpt.exists()
@@ -934,16 +945,13 @@ class TestTrainPredictScore:
         assert "sentence 0" in capsys.readouterr().err
 
     def test_score_error_precedence(self, tmp_path, capsys):
-        # a leaf mismatch in any sentence wins over a label binarize
-        # rejects; a bad gold label wins over a bad predicted one
+        # after the sentence counts, the first fault in sentence order
+        # wins; within a sentence, a bad gold label, then a bad predicted
+        # label, then a leaf mismatch
         gold = tmp_path / "gold.mrg"
         pred = tmp_path / "pred.mrg"
         gold.write_text("(S+X (NN a) (NN b))\n(S (NN c))\n")
         pred.write_text("(S (∅ (NN a)) (NN b))\n(S (NN OTHER))\n")
-        assert main(["score", str(gold), str(pred)]) == 1
-        assert capsys.readouterr().err == "error: score: leaf mismatch in sentence 1\n"
-
-        pred.write_text("(S (∅ (NN a)) (NN b))\n(S (NN c))\n")
         assert main(["score", str(gold), str(pred)]) == 1
         assert capsys.readouterr().err == (
             "error: score: label 'S+X' contains the chain separator '+'\n"
@@ -953,6 +961,17 @@ class TestTrainPredictScore:
         assert main(["score", str(gold), str(pred), "--json"]) == 1
         assert capsys.readouterr().err == (
             "error: score: label '∅' collides with the empty-label marker\n"
+        )
+
+        pred.write_text("(S (NN a) (NN b))\n(S (NN OTHER))\n")
+        assert main(["score", str(gold), str(pred)]) == 1
+        assert capsys.readouterr().err == "error: score: leaf mismatch in sentence 1\n"
+
+        gold.write_text("(S (NN a) (NN b))\n(∅ (NN c) (NN d))\n")
+        pred.write_text("(A+1 (NN a) (NN b))\n(S (NN c) (NN d))\n")
+        assert main(["score", str(gold), str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            "error: score: label 'A+1' contains the chain separator '+'\n"
         )
 
     @pytest.mark.parametrize("payload", ["{}", "[]", '"x"', "3", "null"])
@@ -1466,6 +1485,16 @@ class TestBench:
         assert main(["bench", "--sizes", "10", "--reps", reps]) == 1
         assert capsys.readouterr().err == "error: bench: --reps must be at least 1\n"
 
+    @pytest.mark.parametrize("shape", ["random", "left-chain", "right-chain"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, shape):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "10", "--shape", shape, "--seed", "-3"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bench: seed must be a non-negative integer, got -3\n"
+        )
+        assert not out.exists()
+
 
 class TestCollector:
     """``main`` pauses the cyclic collector for the command and leaves it
@@ -1549,6 +1578,10 @@ class TestArgumentErrors:
             ["predict", "in.mrg"],
             [],
             ["frobnicate"],
+            # an overlong argument is quoted only at the start
+            pytest.param(["train", "--loss", "x" * 3000], id="train --loss 3000x"),
+            pytest.param(["train", "--epochs", "1" * 5000], id="train --epochs 5000x1"),
+            pytest.param(["frobnicate" * 500], id="5000-character command"),
         ],
         ids=" ".join,
     )
@@ -1560,6 +1593,7 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: usage: ")
+        assert len(captured.err.encode()) < 250
         assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
