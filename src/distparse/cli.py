@@ -132,12 +132,13 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     lines = []
+    chains: dict = {}
     for number, line in enumerate(_read_text(args.input).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             tup = codec.from_json_line(line)
-            tree = codec.decode_tree(tup)
+            tree = codec.decode_tree(tup, chains)
         except ValueError as exc:
             raise ValueError(f"{args.input}: line {number}: {exc}")
         lines.append(serialize_bracketed(tree) + "\n")
@@ -148,15 +149,23 @@ def cmd_decode(args) -> int:
 def cmd_roundtrip(args) -> int:
     pairs, _ = _load_sentences(args.input, lambda tree: (tree, encode_tree(tree)))
     mismatches = []
+    chains: dict = {}
     for index, (tree, tup) in enumerate(pairs):
         reference = serialize_bracketed(tree)
-        restored = serialize_bracketed(codec.decode_tree(tup))
+        restored = serialize_bracketed(codec.decode_tree(tup, chains))
         if restored != reference:
             mismatches.append((index, reference, restored))
     print(f"roundtrip: {len(pairs)} trees, {len(mismatches)} mismatches")
     for index, reference, restored in mismatches:
         print(f"sentence {index}:\n  gold: {reference}\n  got:  {restored}")
     return 1 if mismatches else 0
+
+
+def _check_length(text: str, what: str, kind: str) -> None:
+    """Fail as ``kind`` when ``text`` is over 100 characters, which no key,
+    value, engine or size is, quoting only its start after ``what``."""
+    if len(text) > 100:
+        raise CliError(kind, f"{what}: {len(text)} characters, starting {text[:20]!r}")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -170,12 +179,8 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise CliError("config", f"{path}: line {number}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
-        for text, what in (
-            (key, "a key is too long"), (value, f"{key} is too long to be a value")
-        ):
-            if len(text) > 100:  # no setting is this long: quote only its start
-                got = f"{len(text)} characters, starting {text[:20]!r}"
-                raise CliError("config", f"{what}: {got}")
+        _check_length(key, "a key is too long", "config")
+        _check_length(value, f"{key} is too long to be a value", "config")
         if key in values:
             raise CliError("config", f"{path}: line {number}: {key} is set twice")
         values[key] = value
@@ -191,9 +196,10 @@ _CONFIG_FIELDS = {
 def _train_config(args) -> training.TrainConfig:
     """The config file's values, then the flags' on top of them."""
     raw = _parse_config_file(args.config) if args.config else {}
-    unknown = set(raw) - set(_CONFIG_FIELDS)
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
     if unknown:
-        raise CliError("config", f"unknown keys: {', '.join(sorted(unknown))}")
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        raise CliError("config", f"unknown keys: {', '.join(unknown[:3])}{more}")
     values = {}
     for key, value in raw.items():
         try:
@@ -275,8 +281,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = []
+    for item in filter(None, args.sizes.split(",")):
+        _check_length(item, "--sizes item is too long to be a size", "bench")
+        try:
+            sizes.append(int(item))
+        except ValueError:
+            raise ValueError(f"--sizes item {item!r} is not an integer") from None
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    for engine in engines:
+        _check_length(engine, "--engines item is too long to be an engine", "bench")
     if not sizes:
         raise ValueError("--sizes names no size")
     if not engines:

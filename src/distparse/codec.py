@@ -300,14 +300,22 @@ def decode(tup: DistanceTuple, engine: str = "stack") -> BinaryTree:
     return nodes[root]
 
 
-def decode_tree(tup: DistanceTuple) -> Tree:
+def decode_tree(tup: DistanceTuple, chains: dict[str, list[str]] | None = None) -> Tree:
     """The n-ary tree of the binary tree :func:`decode` gives, built
     without it: empty-labeled splits are spliced out and collapsed chains
     expanded, with the ``stack`` engine. Raises
     :class:`~distparse.binarize.StructureError` if the root split is
     empty-labeled (there is no parent to splice its children into), and
     :class:`~distparse.binarize.LabelError` for the first chain label, in
-    pre-order, that binarize rejects."""
+    pre-order, that binarize rejects.
+
+    ``chains`` maps each chain label met so far to its labels, bottom
+    first, as :func:`~distparse.binarize.split_chain` checks them; a caller
+    that decodes many tuples passes one dict to them all, so that each
+    distinct label is split once. Only labels ``split_chain`` accepts enter
+    it, so a bad label raises at its own node in every tuple."""
+    if chains is None:
+        chains = {}
     root, left, right = _child_indices(tup, "stack")
     words, tags, unary, labels = tup.words, tup.tags, tup.unary_labels, tup.split_labels
     if root >= 0 and labels[root] == EMPTY_LABEL:
@@ -324,21 +332,25 @@ def decode_tree(tup: DistanceTuple) -> Tree:
         while index >= 0:
             if labels[index] != EMPTY_LABEL:
                 children: list[Tree] = []
-                siblings.append(_expand_chain(labels[index], children))
+                siblings.append(_expand_chain(labels[index], children, chains))
                 siblings = children
             work.append((right[index], siblings))
             index = left[index]
         leaf, chain = Leaf(words[~index], tags[~index]), unary[~index]
-        siblings.append(leaf if chain == EMPTY_LABEL else _expand_chain(chain, [leaf]))
+        siblings.append(
+            leaf if chain == EMPTY_LABEL else _expand_chain(chain, [leaf], chains)
+        )
     return found[0]
 
 
-def _expand_chain(label: str, children: list[Tree]) -> NaryTree:
-    labels = split_chain(label)
-    node = NaryTree(labels[-1], children)
-    for lab in reversed(labels[:-1]):
-        node = NaryTree(lab, [node])
-    return node
+def _expand_chain(label: str, children: list[Tree], chains: dict) -> NaryTree:
+    labels = chains.get(label)
+    if labels is None:
+        labels = chains[label] = split_chain(label)[::-1]  # bottom first
+    node = children
+    for lab in labels:
+        node = [NaryTree(lab, node)]
+    return node[0]
 
 
 def binary_trees_equal(a: BinaryTree, b: BinaryTree) -> bool:
@@ -370,11 +382,11 @@ def to_json_line(tup: DistanceTuple) -> str:
     """One-line JSON interchange record for a tuple."""
     return _JSON_ENCODER.encode(
         {
-            "words": list(tup.words),
-            "tags": list(tup.tags),
-            "unary_labels": list(tup.unary_labels),
-            "distances": list(tup.distances),
-            "split_labels": list(tup.split_labels),
+            "words": tup.words,
+            "tags": tup.tags,
+            "unary_labels": tup.unary_labels,
+            "distances": tup.distances,
+            "split_labels": tup.split_labels,
         }
     )
 

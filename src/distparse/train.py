@@ -262,7 +262,8 @@ def train(
     )
     examples = [_encode_example(tup, vocab) for tup in train_tuples]
     lengths = [len(tup.words) for tup in train_tuples]
-    gold_dev_trees = [decode_tree(tup) for tup in dev_tuples]
+    chains: dict = {}
+    gold_dev_trees = [decode_tree(tup, chains) for tup in dev_tuples]
     dev_sentences = [(tup.words, tup.tags) for tup in dev_tuples]
 
     result = TrainResult(params, model_config, vocab)
@@ -417,16 +418,18 @@ def predict_trees(
 ) -> list[Tree]:
     """Parse ``(words, tags)`` pairs: :func:`predict_scores` in
     :func:`length_batches` of :data:`PREDICT_BATCH`, each tuple decoded to
-    an n-ary tree by :func:`~distparse.codec.decode_tree`, in input
-    order."""
+    an n-ary tree by :func:`~distparse.codec.decode_tree`, in input order.
+    The decodes share one chain dict, so each distinct label is split
+    once."""
     lengths = [len(words) for words, _ in sentences]
     parsed: list = [None] * len(sentences)
+    chains: dict = {}
     for chunk in length_batches(range(len(sentences)), lengths, PREDICT_BATCH):
         scored = predict_scores(
             params, model_config, vocab, [sentences[index] for index in chunk]
         )
         for index, tup in zip(chunk, scored):
-            parsed[index] = decode_tree(tup)
+            parsed[index] = decode_tree(tup, chains)
     return parsed
 
 

@@ -7,17 +7,19 @@ objects carrying the word and its POS tag, so ``(VB go)`` is a leaf and
 One reader loop builds the trees as written (:func:`parse_bracketed`), or
 as :func:`preprocess` cleans them (:func:`read_treebank`, one copy per
 tree), or only their words and tags (:func:`read_sentences`, which
-``predict`` reads). A read keeps one string per distinct word, tag and
-label token, however often the text repeats it: the trees it returns all
-refer to that string (a label that preprocessing cuts, ``NP-SBJ`` to
-``NP``, is a new one), while each leaf and node stays its own object. The
-tables that find the strings live only for the read.
+``predict`` reads). A read interns every word, tag and label it returns
+(``sys.intern``), and so does :func:`strip_function_tag` with a label it
+cuts (``NP-SBJ`` to ``NP``): equal strings are one object however often
+the text repeats them, while each leaf and node stays its own object. The
+table that maps a repeated preterminal to its word and tag lives only for
+the read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Union
 
 
@@ -70,9 +72,12 @@ def token_problem(token: str) -> str | None:
 # preprocessing strips
 NONE_TAG = "-NONE-"
 
-# a whole preterminal ``(TAG word)`` first, then single tokens; anything
-# malformed falls through to the single tokens, which report it
-_TOKEN = re.compile(r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|[()]|[^()\s]+")
+# a whole preterminal ``(TAG word)`` first, then an open bracket with its
+# label, then single tokens; anything malformed falls through to the later
+# alternatives, which report it
+_TOKEN = re.compile(
+    r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|\(\s*([^()\s]+)|[()]|[^()\s]+"
+)
 
 
 def parse_bracketed(text: str) -> list[Tree]:
@@ -126,19 +131,20 @@ def _read(text: str, leaf, node) -> list:
     # open nodes: [label-or-None, start offset, children, holds a token,
     # count of children dropped]
     stack: list[list] = []
-    # one string per distinct token; the tables die with the call. A
-    # preterminal's whole text maps to its (word, tag), so a repeated one
-    # costs one lookup; a word, tag or label maps to its first string
+    # a preterminal's whole text maps to its (word, tag), so a repeated one
+    # costs one lookup; the table dies with the call
     pairs: dict[str, tuple[str, str]] = {}
-    strings: dict[str, str] = {}
     for match in _TOKEN.finditer(text):
-        if match.lastindex:
+        if (group := match.lastindex) == 2:
             pair = pairs.get(tok := match.group())
             if pair is None:
-                tag, word = match.groups()
-                word, tag = strings.setdefault(word, word), strings.setdefault(tag, tag)
+                tag, word = match.group(1, 2)
+                word, tag = intern(word), intern(tag)
                 pair = pairs[tok] = (word, tag)
             item = leaf(*pair)
+        elif group:
+            stack.append([intern(match.group(3)), match.start(), [], False, 0])
+            continue
         elif (tok := match.group()) == "(":
             stack.append([None, match.start(), [], False, 0])
             continue
@@ -146,11 +152,8 @@ def _read(text: str, leaf, node) -> list:
             if not stack:
                 raise TreebankError(f"token '{tok}' outside any tree", match.start())
             top = stack[-1]
-            if top[0] is None and not top[2] and not top[4]:
-                top[0] = strings.setdefault(tok, tok)
-            else:
-                top[2].append(tok)
-                top[3] = True
+            top[2].append(tok)
+            top[3] = True
             continue
         elif not stack:
             raise TreebankError("unbalanced ')'", match.start())
@@ -210,15 +213,16 @@ _BRACKET_LABEL = re.compile(r"-[^-=]+-")
 
 def strip_function_tag(label: str) -> str:
     """Drop functional annotation: everything from the first ``-`` or ``=``
-    not at position 0. A label of the form ``-X-`` with no ``-`` or ``=``
-    inside (``-LRB-``, ``-NONE-``) is kept whole."""
+    not at position 0, interned as the reader's labels are. A label of the
+    form ``-X-`` with no ``-`` or ``=`` inside (``-LRB-``, ``-NONE-``) is
+    kept whole."""
     if "-" not in label and "=" not in label:  # most labels carry none
         return label
     if _BRACKET_LABEL.fullmatch(label):
         return label
     for i, ch in enumerate(label):
         if i > 0 and ch in "-=":
-            return label[:i]
+            return intern(label[:i])
     return label
 
 

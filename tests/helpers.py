@@ -43,6 +43,9 @@ MALFORMED_TREEBANKS = {
     "(A)": ("node 'A' has no children or token", 0),
     "(NP (DT a)) (A)": ("node 'A' has no children or token", 12),
     "( word)": ("node 'word' has no children or token", 0),
+    # an open bracket reads with its label, across any whitespace
+    "(\n A)": ("node 'A' has no children or token", 0),
+    "(NP (DT a)) (\t\nA)": ("node 'A' has no children or token", 12),
     "(S (NN dog) word)": ("node 'S' mixes tokens and subtrees", 0),
     "(S word (NN dog))": ("node 'S' mixes tokens and subtrees", 0),
     "(TAG one two)": ("preterminal 'TAG' with multiple tokens", 0),

@@ -793,6 +793,17 @@ class TestTrainPredictScore:
         assert capsys.readouterr().err == f"error: config: unknown keys: {key}\n"
         assert not ckpt.exists()
 
+    def test_many_unknown_config_keys_are_named_in_part(self, tmp_path, mini_treebank, capsys):
+        # 100 keys of 93 characters, each within the 100-character rule
+        keys = [f"{i:03d}" + "k" * 90 for i in range(100)]
+        config = tmp_path / "bad.cfg"
+        config.write_text("".join(f"{key} = 1\n" for key in reversed(keys)))
+        argv = ["train", "--train", str(mini_treebank), "--config", str(config)]
+        assert main(argv + ["--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config: unknown keys: {keys[0]}, {keys[1]}, {keys[2]} and 97 more\n"
+        )
+
     @pytest.mark.parametrize(
         "lines, flags",
         [
@@ -1436,6 +1447,27 @@ class TestBench:
         ],
     )
     def test_empty_list_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "8", "--reps", "1", flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: bench: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sizes", "8,x", "--sizes item 'x' is not an integer"),
+            ("--sizes", "8,1.5", "--sizes item '1.5' is not an integer"),
+            # past Python's int digit limit, and any item too long to be
+            # one: the line quotes only the start
+            ("--sizes", "8," + "1" * 5000, "--sizes item is too long to be a size: "
+             "5000 characters, starting '11111111111111111111'"),
+            ("--engines", "x" * 3000, "--engines item is too long to be an engine: "
+             "3000 characters, starting 'xxxxxxxxxxxxxxxxxxxx'"),
+        ],
+        ids=["size-x", "size-1.5", "size-5000-digits", "engine-3000-characters"],
+    )
+    def test_bad_item_is_named_after_its_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "bench.csv"
         argv = ["bench", "--sizes", "8", "--reps", "1", flag, value, "--out", str(out)]
         assert main(argv) == 1

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from distparse.binarize import EMPTY_LABEL, Internal, Terminal
+from distparse.binarize import EMPTY_LABEL, Internal, LabelError, Terminal
 from distparse.codec import (
     ENGINES,
     DistanceTuple,
@@ -297,13 +297,27 @@ class TestDecodeTree:
     def test_matches_the_reference_debinarize_of_the_binary_tree(self):
         rng = np.random.default_rng(21)
         raised = 0
+        chains = {}  # shared by every tuple, as the commands share one
         for _ in range(300):
             tup = random_tuple(rng, int(rng.integers(1, 61)))
             for engine in ENGINES:
                 expected = outcome(lambda: reference_debinarize(decode(tup, engine)))
                 assert outcome(lambda: decode_tree(tup)) == expected
+                assert outcome(lambda: decode_tree(tup, chains)) == expected
                 raised += isinstance(expected, tuple)
         assert 0 < raised < 300 * len(ENGINES)
+
+    def test_a_shared_chain_dict_keeps_every_label_error(self):
+        # the bad chain sits under a good split in one tuple and is the
+        # root split of the other
+        under = DistanceTuple(("a", "b"), ("T", "T"), ("NP+", EMPTY_LABEL), (1.0,), ("S+VP",))
+        root = DistanceTuple(("c", "d"), ("T", "T"), (EMPTY_LABEL,) * 2, (1.0,), ("NP+",))
+        message = "empty nonterminal label in chain 'NP+'"
+        chains = {}
+        for tup in (under, root, under):
+            assert outcome(lambda: decode_tree(tup)) == (LabelError, message)
+            assert outcome(lambda: decode_tree(tup, chains)) == (LabelError, message)
+        assert list(chains) == ["S+VP"]  # only the labels split_chain accepts
 
     @pytest.mark.parametrize("engine", ["rmq", "stack"])
     @pytest.mark.parametrize("rising", [True, False])

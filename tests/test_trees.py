@@ -62,6 +62,10 @@ class TestParse:
         assert str(info.value) == f"{message} (at offset {offset})"
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("text", ["(\n\tS (NN a))", "( S(NN a))", "(\t\n S\n(NN a) )"])
+    def test_any_whitespace_between_bracket_and_label(self, text):
+        assert parse_bracketed(text) == [NaryTree("S", [Leaf("a", "NN")])]
+
     def test_error_carries_offset(self):
         with pytest.raises(TreebankError) as info:
             parse_bracketed("(S (NP (NN dog)) ))")
@@ -318,6 +322,7 @@ SPELLINGS = {
     "spacing": "(NP (DT the) ( DT  the ) (DT\tthe\t) (\nDT\nthe\n) (NN dog))",
     "two tags": "(S (NP (DT that)) (SBAR (IN that) (S (VP (VB go)))))",
     "label as word": "(NP (NN NP) (NP (NNS NN)) (NN dog))\n(S (NN S))",
+    "label spacing": "(S (NP (NN a)) (\n\tNP (NN b)) ( NP (NN c)))",
 }
 
 
@@ -367,12 +372,16 @@ class TestSharedStrings:
         assert [key for key, ids in shared.items() if len(ids) > 1] == []
         # one string for a word and a label spelled alike
         assert shared["word", "NP"] == shared["label", "NP"]
-        # preprocessing cuts function tags into new labels; words and tags
-        # stay shared
+        # preprocessing cuts function tags into labels that are shared too
         cleaned = strings_by_value(read_treebank(text))
-        assert [
-            key for key, ids in cleaned.items() if key[0] != "label" and len(ids) > 1
-        ] == []
+        assert [key for key, ids in cleaned.items() if len(ids) > 1] == []
+
+    def test_a_cut_label_is_the_label_written_alike(self):
+        text = "(S (NP-SBJ (NN a)) (VP (VB b)))\n(S (NP-SBJ (NN c)) (NP (NN d)))"
+        cleaned = strings_by_value(read_treebank(text))
+        assert len(cleaned["label", "NP"]) == 1
+        raw = parse_bracketed(text)
+        assert strings_by_value(map(preprocess, raw))["label", "NP"] == cleaned["label", "NP"]
 
     def test_changing_one_tree_leaves_equal_ones_alone(self):
         first, second = parse_bracketed("(NP (DT the) (DT the))\n(NP (DT the) (NN dog))")
