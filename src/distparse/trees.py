@@ -11,8 +11,8 @@ tree), or only their words and tags (:func:`read_sentences`, which
 (``sys.intern``), and so does :func:`strip_function_tag` with a label it
 cuts (``NP-SBJ`` to ``NP``): equal strings are one object however often
 the text repeats them, while each leaf and node stays its own object. The
-table that maps a repeated preterminal to its word and tag lives only for
-the read.
+tables that map a repeated preterminal or label to its strings live only
+for the read.
 """
 
 from __future__ import annotations
@@ -75,9 +75,7 @@ NONE_TAG = "-NONE-"
 # a whole preterminal ``(TAG word)`` first, then an open bracket with its
 # label, then single tokens; anything malformed falls through to the later
 # alternatives, which report it
-_TOKEN = re.compile(
-    r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|\(\s*([^()\s]+)|[()]|[^()\s]+"
-)
+_TOKEN = re.compile(r"\(\s*([^()\s]+)\s+([^()\s]+)\s*\)|\(\s*([^()\s]+)|[()]|[^()\s]+")
 
 
 def parse_bracketed(text: str) -> list[Tree]:
@@ -131,9 +129,12 @@ def _read(text: str, leaf, node) -> list:
     # open nodes: [label-or-None, start offset, children, holds a token,
     # count of children dropped]
     stack: list[list] = []
-    # a preterminal's whole text maps to its (word, tag), so a repeated one
-    # costs one lookup; the table dies with the call
+    # a preterminal's whole text maps to its (word, tag), and a label to its
+    # interned string, so a repeated one costs one lookup (a sys.intern call
+    # per node raised the peak memory of repeated reads in one process); the
+    # tables die with the call
     pairs: dict[str, tuple[str, str]] = {}
+    labels: dict[str, str] = {}
     for match in _TOKEN.finditer(text):
         if (group := match.lastindex) == 2:
             pair = pairs.get(tok := match.group())
@@ -143,7 +144,8 @@ def _read(text: str, leaf, node) -> list:
                 pair = pairs[tok] = (word, tag)
             item = leaf(*pair)
         elif group:
-            stack.append([intern(match.group(3)), match.start(), [], False, 0])
+            label = labels.get(tok := match.group(3)) or labels.setdefault(tok, intern(tok))
+            stack.append([label, match.start(), [], False, 0])
             continue
         elif (tok := match.group()) == "(":
             stack.append([None, match.start(), [], False, 0])
