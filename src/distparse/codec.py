@@ -309,11 +309,10 @@ def decode_tree(tup: DistanceTuple, chains: dict[str, list[str]] | None = None) 
     :class:`~distparse.binarize.LabelError` for the first chain label, in
     pre-order, that binarize rejects.
 
-    ``chains`` maps each chain label met so far to its labels, bottom
-    first, as :func:`~distparse.binarize.split_chain` checks them; a caller
-    that decodes many tuples passes one dict to them all, so that each
-    distinct label is split once. Only labels ``split_chain`` accepts enter
-    it, so a bad label raises at its own node in every tuple."""
+    ``chains`` maps each chain label split so far to its labels, bottom
+    first; the decodes of one command share it, so each distinct label is
+    split once. A label :func:`~distparse.binarize.split_chain` rejects
+    never enters it, so it raises at its own node in every tuple."""
     if chains is None:
         chains = {}
     root, left, right = _child_indices(tup, "stack")

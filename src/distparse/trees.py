@@ -144,7 +144,8 @@ def _read(text: str, leaf, node) -> list:
                 pair = pairs[tok] = (word, tag)
             item = leaf(*pair)
         elif group:
-            label = labels.get(tok := match.group(3)) or labels.setdefault(tok, intern(tok))
+            if (label := labels.get(tok := match.group(3))) is None:
+                label = labels[tok] = intern(tok)
             stack.append([label, match.start(), [], False, 0])
             continue
         elif (tok := match.group()) == "(":
